@@ -3,7 +3,7 @@
 // search, go-to-definition, find-references, program slices, statistics
 // and code-map rendering.
 //
-//	frappe index   -gen [-scale N] -db DIR [-shards N]  index the synthetic kernel
+//	frappe index   -gen [-scale N] -db DIR        index the synthetic kernel
 //	frappe index   -src DIR [-cc-log FILE] -db DIR  index a real C tree
 //	frappe update  -src DIR|-gen -db DIR          incrementally re-index changed files
 //	frappe query   -db DIR 'CYPHER...'            run a Cypher query
@@ -20,12 +20,6 @@
 // exposes POST /api/admin/update: the server re-extracts only dirty
 // translation units and swaps the new graph in atomically while
 // queries keep running.
-//
-// A store indexed with -shards N is served through the scatter-gather
-// coordinator: queries fan out one worker per shard and merge back into
-// the single-engine row order. serve autodetects the sharded layout;
-// -replicas/-hedge add hedged reads over the immutable store files, and
-// -replica-of serves another process's store directory read-only.
 package main
 
 import (
@@ -43,15 +37,12 @@ import (
 	"syscall"
 	"time"
 
-	"frappe/internal/atomicfile"
 	"frappe/internal/codemap"
-	"frappe/internal/coord"
 	"frappe/internal/core"
 	"frappe/internal/cpp"
 	"frappe/internal/delta"
 	"frappe/internal/extract"
 	"frappe/internal/graph"
-	"frappe/internal/gstats"
 	"frappe/internal/kernelgen"
 	"frappe/internal/model"
 	"frappe/internal/obs"
@@ -59,7 +50,6 @@ import (
 	"frappe/internal/qcache"
 	"frappe/internal/query"
 	"frappe/internal/server"
-	"frappe/internal/shard"
 	"frappe/internal/store"
 	"frappe/internal/traversal"
 )
@@ -133,19 +123,6 @@ func openDB(db string) (*core.Engine, error) {
 	if db == "" {
 		return nil, fmt.Errorf("missing -db")
 	}
-	if shard.IsSharded(db) {
-		// One-shot commands read a sharded store through the composite
-		// source: global IDs, cut-edge adjacency, no coordinator needed.
-		set, err := shard.Open(db, store.Options{})
-		if err != nil {
-			return nil, err
-		}
-		eng := core.FromSource(set)
-		if st, ok, err := gstats.Load(db); err == nil && ok {
-			eng.SeedGraphStats(st)
-		}
-		return eng, nil
-	}
 	return core.Open(db)
 }
 
@@ -213,21 +190,10 @@ func printDiagnostics(errs []error) {
 	}
 }
 
-// stageFor picks the on-disk store layout for one persisted graph: the
-// plain single store, or a subsystem-partitioned sharded store with its
-// cut-edge table and ownership map.
-func stageFor(g *graph.Graph, shards int) func(*atomicfile.Commit) error {
-	if shards > 1 {
-		return shard.Split(g, shards).Stage
-	}
-	return func(c *atomicfile.Commit) error { return store.StageTo(c, g) }
-}
-
 func cmdIndex(args []string) error {
 	fl := flag.NewFlagSet("index", flag.ExitOnError)
 	sf := addSourceFlags(fl)
 	db := fl.String("db", "frappe.db", "output store directory")
-	shards := fl.Int("shards", 0, "partition the store into N subsystem shards (0/1 = single store)")
 	fl.Parse(args)
 
 	start := time.Now()
@@ -250,7 +216,7 @@ func cmdIndex(args []string) error {
 	// Store files, incremental-update state and the restarted journal all
 	// land as one crash-consistent commit: a kill mid-index leaves either
 	// no store or a complete one, never a store without its state.
-	if err := delta.PersistIndexWith(*db, sess, res.Graph, delta.Record{
+	if err := delta.PersistIndex(*db, sess, res.Graph, delta.Record{
 		Epoch:            sess.Manifest().Epoch,
 		Time:             time.Now().UTC().Format(time.RFC3339),
 		FilesAdded:       len(sess.Manifest().Files),
@@ -260,15 +226,11 @@ func cmdIndex(args []string) error {
 		WallMillis:       float64(time.Since(start).Microseconds()) / 1000,
 		NodeCount:        m.Nodes,
 		EdgeCount:        m.Edges,
-	}, stageFor(res.Graph, *shards)); err != nil {
+	}); err != nil {
 		return err
 	}
-	layout := ""
-	if *shards > 1 {
-		layout = fmt.Sprintf(" in %d shards", *shards)
-	}
-	fmt.Printf("indexed in %v: %d nodes, %d edges (%.2f edges/node) -> %s%s\n",
-		time.Since(start).Round(time.Millisecond), m.Nodes, m.Edges, m.Density, *db, layout)
+	fmt.Printf("indexed in %v: %d nodes, %d edges (%.2f edges/node) -> %s\n",
+		time.Since(start).Round(time.Millisecond), m.Nodes, m.Edges, m.Density, *db)
 	return nil
 }
 
@@ -652,16 +614,16 @@ func cmdVerify(args []string) error {
 	db := fl.String("db", "frappe.db", "store directory")
 	quiet := fl.Bool("q", false, "print problems only")
 	flipByte := fl.Int64("flip-byte", -1, "chaos helper: XOR 0xFF into the byte at this offset of -flip-file, then exit (corruption drills; >= file size clamps to the middle)")
-	flipFile := fl.String("flip-file", store.NodeFile, "file (relative to -db) whose byte -flip-byte flips")
+	flipFile := fl.String("flip-file", store.NodeFile, "store file in -db (base name, e.g. "+store.RelFile+") whose byte -flip-byte flips")
 	fl.Parse(args)
 	if *db == "" {
 		return fmt.Errorf("missing -db")
 	}
 	if *flipByte >= 0 {
+		if !store.IsStoreFile(*flipFile) {
+			return fmt.Errorf("verify: -flip-file %q is not a store file name", *flipFile)
+		}
 		return flipByteAt(filepath.Join(*db, *flipFile), *flipByte)
-	}
-	if shard.IsSharded(*db) {
-		return verifySharded(*db, *quiet)
 	}
 	rep, err := store.Verify(*db)
 	if err != nil {
@@ -724,59 +686,6 @@ func flipByteAt(path string, off int64) error {
 	return nil
 }
 
-// verifySharded fscks a partitioned store: every shard store, the
-// cut-edge store, the sharding sidecars, and the update journal.
-func verifySharded(db string, quiet bool) error {
-	m, err := shard.LoadManifest(db)
-	if err != nil {
-		return err
-	}
-	problems := 0
-	dirs := make([]string, 0, m.Shards+1)
-	for i := 0; i < m.Shards; i++ {
-		dirs = append(dirs, shard.ShardDir(i))
-	}
-	dirs = append(dirs, shard.CutDir)
-	if !quiet {
-		fmt.Printf("sharded store %s: %d shards\n", db, m.Shards)
-	}
-	for _, d := range dirs {
-		rep, err := store.Verify(filepath.Join(db, d))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "problem: %s: %v\n", d, err)
-			problems++
-			continue
-		}
-		if !quiet {
-			status := "ok"
-			if !rep.OK() {
-				status = "CORRUPT"
-			}
-			fmt.Printf("  %-12s format v%d, %d nodes, %d edges  %s\n", d, rep.FormatVersion, rep.Nodes, rep.Edges, status)
-		}
-		for _, p := range rep.Problems {
-			fmt.Fprintf(os.Stderr, "problem: %s: %v\n", d, p)
-			problems++
-		}
-	}
-	if _, err := os.Stat(filepath.Join(db, shard.MapFile)); err != nil {
-		fmt.Fprintf(os.Stderr, "problem: %v\n", err)
-		problems++
-	}
-	journalProblems := delta.AuditJournal(db)
-	for _, p := range journalProblems {
-		fmt.Fprintf(os.Stderr, "problem: %v\n", p)
-	}
-	problems += len(journalProblems)
-	if problems > 0 {
-		return fmt.Errorf("%d problem(s) found in %s", problems, db)
-	}
-	if !quiet {
-		fmt.Println("sharded store is clean")
-	}
-	return nil
-}
-
 func cmdServe(args []string) error {
 	fl := flag.NewFlagSet("serve", flag.ExitOnError)
 	sf := addSourceFlags(fl)
@@ -797,10 +706,6 @@ func cmdServe(args []string) error {
 	logFormat := fl.String("log-format", "text", "server log format: text or json")
 	traceSample := fl.Float64("trace-sample", trace.DefaultSampleRate, "fraction of unremarkable request traces to retain in [0,1]; slow/errored/degraded traces are always kept (<0 disables tracing)")
 	traceExport := fl.String("trace-export", "", "append every retained trace as JSON lines to this file (rotated)")
-	shards := fl.Int("shards", 0, "serve (and in live mode persist) the store as N subsystem shards behind the scatter-gather coordinator (0 = follow the store's on-disk layout)")
-	replicas := fl.Int("replicas", 1, "shard-set replicas to open (sharded stores; immutable files make replicas free)")
-	hedge := fl.Duration("hedge", 0, "hedged reads: start a second replica execution when the first has not answered within this delay (0 disables; needs -replicas >= 2)")
-	replicaOf := fl.String("replica-of", "", "serve another process's store directory read-only (admin updates get 501)")
 	fl.Parse(args)
 
 	// Structured logging: every server log line (slow requests, panics,
@@ -818,17 +723,9 @@ func cmdServe(args []string) error {
 	}
 
 	limits := query.Limits{MaxRows: *maxRows, MaxSteps: *maxSteps}
-	staticDB := *db
-	if *replicaOf != "" {
-		if sf.given() {
-			return fmt.Errorf("serve: -replica-of is read-only; it cannot be combined with -src or -gen")
-		}
-		staticDB = *replicaOf
-	}
 
 	var eng *core.Engine
 	var srv *server.Server
-	var crd *coord.Coordinator
 	if sf.given() {
 		// Live mode: keep the extraction session in memory and expose
 		// POST /api/admin/update. The graph is served in-memory (assembled
@@ -837,13 +734,6 @@ func cmdServe(args []string) error {
 		build, opts, err := sf.resolve()
 		if err != nil {
 			return fmt.Errorf("serve %w", err)
-		}
-		// Adopt an existing sharded layout when -shards was not given, so
-		// restarting a sharded deployment needs no flag archaeology.
-		if *shards <= 1 && shard.IsSharded(*db) {
-			if m, err := shard.LoadManifest(*db); err == nil {
-				*shards = m.Shards
-			}
 		}
 		sess, err := delta.Resume(*db, opts)
 		if err != nil {
@@ -857,7 +747,7 @@ func cmdServe(args []string) error {
 			printDiagnostics(res.Errors)
 			// Same crash-consistent bundle as `frappe index`: store, state
 			// and a restarted journal land atomically or not at all.
-			if err := delta.PersistIndexWith(*db, sess, res.Graph, delta.Record{
+			if err := delta.PersistIndex(*db, sess, res.Graph, delta.Record{
 				Epoch:            sess.Manifest().Epoch,
 				Time:             time.Now().UTC().Format(time.RFC3339),
 				FilesAdded:       len(sess.Manifest().Files),
@@ -866,97 +756,40 @@ func cmdServe(args []string) error {
 				EdgesAdded:       int(res.Graph.EdgeCount()),
 				NodeCount:        res.Graph.NodeCount(),
 				EdgeCount:        res.Graph.EdgeCount(),
-			}, stageFor(res.Graph, *shards)); err != nil {
+			}); err != nil {
 				return err
 			}
 		}
 		res := sess.Assemble(build)
-		if *shards > 1 {
-			if !shard.IsSharded(*db) {
-				// The store predates -shards: re-lay the current epoch out as
-				// shards in one atomic commit (the journal restarts, like a
-				// fresh index — partitioning is a layout change, not an edit).
-				if err := delta.PersistIndexWith(*db, sess, res.Graph, delta.Record{
-					Epoch:     sess.Manifest().Epoch,
-					Time:      time.Now().UTC().Format(time.RFC3339),
-					NodeCount: res.Graph.NodeCount(),
-					EdgeCount: res.Graph.EdgeCount(),
-				}, stageFor(res.Graph, *shards)); err != nil {
-					return fmt.Errorf("serve: re-partitioning %s into %d shards: %w", *db, *shards, err)
+		eng = core.FromGraph(res.Graph)
+		eng.SetEpoch(sess.Manifest().Epoch, lastJournalSummary(*db))
+		eng.QueryLimits = limits
+		srv = server.New(eng)
+		srv.Update = func(ctx context.Context) (server.UpdateResult, error) {
+			var result server.UpdateResult
+			_, err := eng.UpdateWith(func(old graph.Source) (*graph.Graph, int64, *core.UpdateSummary, error) {
+				start := time.Now()
+				b, _, err := sf.resolve()
+				if err != nil {
+					return nil, 0, nil, err
 				}
-			}
-			crd, err = coord.Open(*db, *replicas, store.Options{})
-			if err != nil {
-				return err
-			}
-			crd.Limits = limits
-			crd.Hedge = *hedge
-			crd.SetEpoch(sess.Manifest().Epoch, lastJournalSummary(*db))
-			eng = crd.Engine()
-			eng.QueryLimits = limits
-			srv = server.New(eng)
-			srv.Coord = crd
-			// Updates are stop-the-world at the store level: the session
-			// re-extracts and persists a full sharded epoch, then the
-			// coordinator reopens the shard set and swaps it in while pinned
-			// requests finish on the old one.
-			srv.Update = func(ctx context.Context) (server.UpdateResult, error) {
-				var result server.UpdateResult
-				_, err := crd.Update(func(old graph.Source) (*graph.Graph, int64, *core.UpdateSummary, error) {
-					start := time.Now()
-					b, _, err := sf.resolve()
-					if err != nil {
-						return nil, 0, nil, err
-					}
-					up, err := sess.Update(b, old)
-					if err != nil {
-						return nil, 0, nil, err
-					}
-					if up.NoOp {
-						result = server.UpdateResult{Applied: false, Epoch: up.Epoch}
-						return nil, 0, nil, nil
-					}
-					rec := recordOf(up, time.Now(), time.Since(start))
-					if err := delta.PersistUpdateWith(*db, sess, up.Result.Graph, rec, stageFor(up.Result.Graph, *shards)); err != nil {
-						return nil, 0, nil, err
-					}
-					sum := summaryOf(rec)
-					result = server.UpdateResult{Applied: true, Epoch: up.Epoch, Summary: sum}
-					return up.Result.Graph, up.Epoch, sum, nil
-				})
-				return result, err
-			}
-		} else {
-			eng = core.FromGraph(res.Graph)
-			eng.SetEpoch(sess.Manifest().Epoch, lastJournalSummary(*db))
-			eng.QueryLimits = limits
-			srv = server.New(eng)
-			srv.Update = func(ctx context.Context) (server.UpdateResult, error) {
-				var result server.UpdateResult
-				_, err := eng.UpdateWith(func(old graph.Source) (*graph.Graph, int64, *core.UpdateSummary, error) {
-					start := time.Now()
-					b, _, err := sf.resolve()
-					if err != nil {
-						return nil, 0, nil, err
-					}
-					up, err := sess.Update(b, old)
-					if err != nil {
-						return nil, 0, nil, err
-					}
-					if up.NoOp {
-						result = server.UpdateResult{Applied: false, Epoch: up.Epoch}
-						return nil, 0, nil, nil
-					}
-					rec, err := persistUpdate(*db, sess, up, time.Since(start))
-					if err != nil {
-						return nil, 0, nil, err
-					}
-					sum := summaryOf(rec)
-					result = server.UpdateResult{Applied: true, Epoch: up.Epoch, Summary: sum}
-					return up.Result.Graph, up.Epoch, sum, nil
-				})
-				return result, err
-			}
+				up, err := sess.Update(b, old)
+				if err != nil {
+					return nil, 0, nil, err
+				}
+				if up.NoOp {
+					result = server.UpdateResult{Applied: false, Epoch: up.Epoch}
+					return nil, 0, nil, nil
+				}
+				rec, err := persistUpdate(*db, sess, up, time.Since(start))
+				if err != nil {
+					return nil, 0, nil, err
+				}
+				sum := summaryOf(rec)
+				result = server.UpdateResult{Applied: true, Epoch: up.Epoch, Summary: sum}
+				return up.Result.Graph, up.Epoch, sum, nil
+			})
+			return result, err
 		}
 		// Transient update failures (a full disk, a flaky filesystem) are
 		// retried with backoff; planning is idempotent and a failed persist
@@ -973,59 +806,29 @@ func cmdServe(args []string) error {
 			fmt.Printf("frappe: caught up to epoch %d (%d units re-extracted)\n",
 				catchUp.Epoch, catchUp.Summary.UnitsReextracted)
 		}
-	} else if shard.IsSharded(staticDB) {
-		// Static sharded store: serve through the coordinator. With
-		// -replica-of this is a read-only replica of a directory another
-		// process owns — the immutable store files make that free.
-		var err error
-		crd, err = coord.Open(staticDB, *replicas, store.Options{})
-		if err != nil {
-			return err
-		}
-		crd.Limits = limits
-		crd.Hedge = *hedge
-		crd.ReadOnly = *replicaOf != ""
-		if m, err := delta.LoadManifest(staticDB); err == nil {
-			crd.SetEpoch(m.Epoch, lastJournalSummary(staticDB))
-		}
-		eng = crd.Engine()
-		eng.QueryLimits = limits
-		srv = server.New(eng)
-		srv.Coord = crd
 	} else {
 		var err error
-		eng, err = openDB(staticDB)
+		eng, err = openDB(*db)
 		if err != nil {
 			return err
 		}
 		eng.QueryLimits = limits
 		// A static store may still carry update history; surface it.
-		if m, err := delta.LoadManifest(staticDB); err == nil {
-			eng.SetEpoch(m.Epoch, lastJournalSummary(staticDB))
+		if m, err := delta.LoadManifest(*db); err == nil {
+			eng.SetEpoch(m.Epoch, lastJournalSummary(*db))
 		}
 		srv = server.New(eng)
 	}
-	if crd != nil {
-		// Closing the coordinator closes every replica set and the view
-		// engine with it.
-		defer crd.Close()
-	} else {
-		defer eng.Close()
-	}
+	defer eng.Close()
 	// The query cache is installed before the listener opens: repeated
 	// queries skip parsing and execution, and concurrent identical
 	// queries coalesce into one executor slot. `frappe query` (one-shot
 	// CLI) never installs a cache.
 	if *qcacheMB > 0 {
-		qc := qcache.New(qcache.Config{
+		eng.SetQueryCache(qcache.New(qcache.Config{
 			MaxBytes:   int64(*qcacheMB) << 20,
 			MaxEntries: *qcacheEntries,
-		})
-		if crd != nil {
-			crd.SetQueryCache(qc)
-		} else {
-			eng.SetQueryCache(qc)
-		}
+		}))
 	}
 	srv.QueryTimeout = *queryTimeout
 	srv.MaxConcurrent = *maxConcurrent
@@ -1075,18 +878,12 @@ func cmdServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	nShards := 0
-	if crd != nil {
-		nShards = crd.Shards()
-		fmt.Printf("frappe: coordinator over %d shards, %d replica(s), hedge %v\n", nShards, crd.Replicas(), *hedge)
-	}
-	fmt.Printf("frappe: serving %s on http://%s (SIGTERM drains for up to %v)\n", staticDB, ln.Addr(), *drain)
+	fmt.Printf("frappe: serving %s on http://%s (SIGTERM drains for up to %v)\n", *db, ln.Addr(), *drain)
 	// The startup line also goes to the structured sink, so log
 	// pipelines see the process come up in the same stream as its
 	// requests.
-	srv.Logger.Info("serving", "db", staticDB, "addr", ln.Addr().String(),
+	srv.Logger.Info("serving", "db", *db, "addr", ln.Addr().String(),
 		"version", version, "epoch", eng.Snapshot().Epoch(),
-		"shards", nShards,
 		"tracing", srv.Tracer != nil, "logFormat", *logFormat)
 	if err := server.Serve(ctx, ln, srv, *drain); err != nil {
 		return err

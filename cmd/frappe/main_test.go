@@ -137,6 +137,21 @@ func TestVerifyCommand(t *testing.T) {
 		t.Fatalf("clean store failed verify: %v", err)
 	}
 
+	// -flip-file names a store file, never a path out of the store.
+	outside := filepath.Join(root, "x")
+	if err := os.WriteFile(outside, []byte("untouched"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmdVerify([]string{"-db", db, "-flip-byte", "0", "-flip-file", "../x"}); err == nil {
+		t.Fatal("-flip-file ../x was accepted")
+	}
+	if b, err := os.ReadFile(outside); err != nil || string(b) != "untouched" {
+		t.Fatalf("file outside the store changed: %q, %v", b, err)
+	}
+	if err := cmdVerify([]string{"-db", db, "-q"}); err != nil {
+		t.Fatalf("rejected -flip-file changed the store: %v", err)
+	}
+
 	path := filepath.Join(db, "neostore.nodestore.db")
 	raw, err := os.ReadFile(path)
 	if err != nil {

@@ -1,3 +1,13 @@
+// Package coord_test holds the serving-path equivalence suites. Every
+// store is served by one core.Engine over one persisted store; these
+// suites prove that path — Write → Open → CachedQuery/StreamQuery —
+// answers byte-identically to planned execution over the in-memory
+// graph. "shards" in a subtest name is the page cache's lock-stripe
+// count (store.Options.CacheShards): striping decides which lock guards
+// a cached page and must never change a byte of output.
+//
+// The directory holds tests only; it keeps the suites' historical
+// package path so their names stay stable.
 package coord_test
 
 import (
@@ -5,25 +15,24 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
-	"frappe/internal/coord"
+	"frappe/internal/core"
 	"frappe/internal/graph"
 	"frappe/internal/gstats"
 	"frappe/internal/kernelgen"
 	"frappe/internal/model"
 	"frappe/internal/plan"
 	"frappe/internal/query"
-	"frappe/internal/shard"
 	"frappe/internal/store"
 )
 
 // The paper's figure queries (same text plan/equiv_test.go checks
-// against the naive interpreter; here they prove the sharded
-// coordinator equals the single unsharded engine).
+// against the naive interpreter; here they prove the disk-backed engine
+// equals planned execution over the in-memory graph).
 const (
 	figure3Query = `
 START m=node:node_auto_index('short_name: wakeup.elf')
@@ -66,28 +75,27 @@ func tinyGraph(t *testing.T) *graph.Graph {
 	return tinyG
 }
 
-// openCoord persists g as an n-shard store in a temp dir and opens a
-// coordinator over it — the full round trip every production query
-// takes (Split → atomic Write → Open → scatter/route).
-func openCoord(t *testing.T, g *graph.Graph, shards, replicas int, hedge time.Duration) *coord.Coordinator {
+// openEngine persists g in a temp dir and opens a disk-backed engine
+// over it with the page cache split into stripes lock stripes — the
+// full round trip every production query takes. Small pages spread each
+// store file over many stripes, and a small cache forces evictions, so
+// every suite reloads pages through every stripe.
+func openEngine(t *testing.T, g *graph.Graph, stripes int) *core.Engine {
 	t.Helper()
-	dir := t.TempDir()
-	if err := shard.Write(dir, shard.Split(g, shards)); err != nil {
-		t.Fatalf("shard.Write: %v", err)
+	dir := filepath.Join(t.TempDir(), "db")
+	if err := store.Write(dir, g); err != nil {
+		t.Fatalf("store.Write: %v", err)
 	}
-	c, err := coord.Open(dir, replicas, store.Options{})
+	e, err := core.OpenOptions(dir, core.Options{Store: store.Options{PageSize: 256, CacheShards: stripes, CachePages: 16}})
 	if err != nil {
-		t.Fatalf("coord.Open: %v", err)
+		t.Fatalf("core.OpenOptions: %v", err)
 	}
-	c.Hedge = hedge
-	t.Cleanup(func() { c.Close() })
-	return c
+	t.Cleanup(func() { e.Close() })
+	return e
 }
 
-// render formats a result preserving row order: the scatter merge
-// reassembles the exact single-engine order, so coordinator results
-// must be byte-identical to the unsharded baseline, not merely
-// set-equal.
+// render formats a result preserving row order: the disk-backed engine
+// must reproduce the exact in-memory order, not merely the same set.
 func render(src graph.Source, cols []string, rows [][]query.Val) string {
 	var sb strings.Builder
 	sb.WriteString(strings.Join(cols, "\t"))
@@ -102,14 +110,14 @@ func render(src graph.Source, cols []string, rows [][]query.Val) string {
 	return sb.String()
 }
 
-// runEquiv compares the sharded coordinator against a single-engine
-// planned execution of the same text: byte-identical rows (materialized
-// AND streamed), matching error classes, and — when no LIMIT lets the
-// merge truncate early — identical step totals.
-func runEquiv(t *testing.T, g *graph.Graph, c *coord.Coordinator, text string, lim query.Limits) {
+// runEquiv compares the disk-backed engine against a planned execution
+// of the same text over the in-memory graph: byte-identical rows
+// (materialized AND streamed), matching error classes, and — when no
+// LIMIT lets execution stop early — identical step totals.
+func runEquiv(t *testing.T, g *graph.Graph, e *core.Engine, text string, lim query.Limits) {
 	t.Helper()
 	ctx := context.Background()
-	c.Limits = lim
+	e.QueryLimits = lim
 
 	q, err := query.Parse(text)
 	if err != nil {
@@ -118,28 +126,29 @@ func runEquiv(t *testing.T, g *graph.Graph, c *coord.Coordinator, text string, l
 	pl := plan.Compile(q, gstats.Collect(g))
 	base, berr := pl.Execute(ctx, g, lim)
 
-	got, _, gerr := c.CachedQuery(ctx, text, true)
+	snap := e.Snapshot()
+	got, _, gerr := e.CachedQuery(ctx, snap, text, true)
 	if (berr != nil) != (gerr != nil) {
-		t.Fatalf("error divergence for %q:\n single: %v\n coord:  %v", text, berr, gerr)
+		t.Fatalf("error divergence for %q:\n memory: %v\n store:  %v", text, berr, gerr)
 	}
 	if berr != nil {
 		if errors.Is(berr, query.ErrBudgetExceeded) != errors.Is(gerr, query.ErrBudgetExceeded) {
-			t.Fatalf("budget class divergence for %q: single %v, coord %v", text, berr, gerr)
+			t.Fatalf("budget class divergence for %q: memory %v, store %v", text, berr, gerr)
 		}
 		return
 	}
-	src := c.Pin().Source()
+	src := snap.Source()
 	want := render(g, base.Columns, base.Rows)
 	if have := render(src, got.Columns, got.Rows); have != want {
-		t.Fatalf("materialized divergence for %q:\nsingle (%d rows):\n%s\ncoord (%d rows):\n%s",
+		t.Fatalf("materialized divergence for %q:\nmemory (%d rows):\n%s\nstore (%d rows):\n%s",
 			text, len(base.Rows), want, len(got.Rows), have)
 	}
 	hasLimit := strings.Contains(strings.ToUpper(text), "LIMIT")
 	if !hasLimit && got.Steps != base.Steps {
-		t.Fatalf("step divergence for %q: single %d, coord %d", text, base.Steps, got.Steps)
+		t.Fatalf("step divergence for %q: memory %d, store %d", text, base.Steps, got.Steps)
 	}
 
-	st, _, serr := c.StreamQuery(ctx, text, 0)
+	st, _, serr := e.StreamQuery(ctx, snap, text, 0)
 	if serr != nil {
 		t.Fatalf("StreamQuery(%q): %v", text, serr)
 	}
@@ -155,14 +164,13 @@ func runEquiv(t *testing.T, g *graph.Graph, c *coord.Coordinator, text string, l
 		t.Fatalf("stream for %q: %v", text, err)
 	}
 	if have := render(src, cols, rows); have != want {
-		t.Fatalf("streamed divergence for %q:\nsingle:\n%s\nstreamed (%d rows):\n%s", text, want, len(rows), have)
+		t.Fatalf("streamed divergence for %q:\nmemory:\n%s\nstreamed (%d rows):\n%s", text, want, len(rows), have)
 	}
 }
 
-// tinyQueries covers every routing mode on the paper-shaped graph:
-// START/closure shapes run direct on the composite (cross-shard closure
-// over cut edges), indexed anchors take the fast path, unbound scans
-// scatter, and LIMIT exercises merge truncation.
+// tinyQueries covers the planner's shapes on the paper-shaped graph:
+// START/closure shapes, indexed anchors, unbound label scans, pipelines
+// and LIMIT truncation.
 var tinyQueries = []struct {
 	name string
 	text string
@@ -185,36 +193,19 @@ var tinyQueries = []struct {
 func TestShardedFigureEquivalence(t *testing.T) {
 	g := tinyGraph(t)
 	for _, shards := range []int{2, 3, 7} {
-		c := openCoord(t, g, shards, 1, 0)
+		e := openEngine(t, g, shards)
 		for _, tc := range tinyQueries {
 			t.Run(fmt.Sprintf("shards=%d/%s", shards, tc.name), func(t *testing.T) {
-				runEquiv(t, g, c, tc.text, query.Limits{MaxSteps: 10_000_000})
+				runEquiv(t, g, e, tc.text, query.Limits{MaxSteps: 10_000_000})
 			})
 		}
 	}
 }
 
-// TestReplicatedHedgedEquivalence runs the same table with two replicas
-// and an always-firing hedge: replicas serve the same immutable files,
-// so hedged direct reads and replica-spread scatter workers must not
-// change a byte of output.
-func TestReplicatedHedgedEquivalence(t *testing.T) {
-	g := tinyGraph(t)
-	c := openCoord(t, g, 3, 2, time.Nanosecond)
-	if c.Replicas() != 2 {
-		t.Fatalf("Replicas() = %d, want 2", c.Replicas())
-	}
-	for _, tc := range tinyQueries {
-		t.Run(tc.name, func(t *testing.T) {
-			runEquiv(t, g, c, tc.text, query.Limits{MaxSteps: 10_000_000})
-		})
-	}
-}
-
-// TestDiamondClosureAcrossShards is the cross-shard closure proof on a
-// worst-case path-multiplicity graph: a 12-diamond chain (2^12 paths,
-// 49 nodes) with a back edge, split so consecutive diamonds land on
-// different shards — every closure hop crosses a cut edge.
+// TestDiamondClosureAcrossShards runs closures on a worst-case
+// path-multiplicity graph: a 12-diamond chain (2^12 paths, 49 nodes)
+// with a back edge, so every closure must deduplicate exponentially
+// many paths and terminate on the cycle.
 func TestDiamondClosureAcrossShards(t *testing.T) {
 	g := graph.New()
 	cur := g.AddNode(model.NodeFunction, graph.P(model.PropShortName, "root"))
@@ -231,7 +222,7 @@ func TestDiamondClosureAcrossShards(t *testing.T) {
 	g.AddEdge(cur, graph.NodeID(0), model.EdgeCalls, nil)
 
 	for _, shards := range []int{2, 3, 5} {
-		c := openCoord(t, g, shards, 1, 0)
+		e := openEngine(t, g, shards)
 		for i, text := range []string{
 			`START n=node:node_auto_index('short_name: root') MATCH n -[:calls*]-> m RETURN distinct m`,
 			`START n=node:node_auto_index('short_name: root') MATCH n -[:calls*0..]-> m RETURN distinct m`,
@@ -240,16 +231,15 @@ func TestDiamondClosureAcrossShards(t *testing.T) {
 			`MATCH (n:function) -[:calls]-> m RETURN n.short_name`,
 		} {
 			t.Run(fmt.Sprintf("shards=%d/q%d", shards, i), func(t *testing.T) {
-				runEquiv(t, g, c, text, query.Limits{})
+				runEquiv(t, g, e, text, query.Limits{})
 			})
 		}
 	}
 }
 
-// TestRandomizedShardedEquivalence fuzzes mixed scatter/direct shapes
-// over seeded random graphs whose call edges freely cross shard
-// boundaries (no file structure, so partitioning is pure hash — the
-// adversarial case for cut-edge adjacency).
+// TestRandomizedShardedEquivalence fuzzes mixed anchored/scan shapes
+// over a seeded random graph with no file structure: call and contains
+// edges join arbitrary nodes, so record chains interleave across pages.
 func TestRandomizedShardedEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := graph.New()
@@ -268,7 +258,7 @@ func TestRandomizedShardedEquivalence(t *testing.T) {
 	rels := []string{"-[:calls*]->", "<-[:calls*]-", "-[:calls*..2]->", "-[:calls*0..3]->",
 		"-[:calls]->", "<-[:contains]-", "-[:calls|contains*..3]->"}
 	for _, shards := range []int{3, 5} {
-		c := openCoord(t, g, shards, 1, 0)
+		e := openEngine(t, g, shards)
 		for i := 0; i < 60; i++ {
 			l1, l2 := labels[rng.Intn(len(labels))], labels[rng.Intn(len(labels))]
 			rel := rels[rng.Intn(len(rels))]
@@ -288,29 +278,29 @@ func TestRandomizedShardedEquivalence(t *testing.T) {
 			}
 			text := sb.String()
 			t.Run(fmt.Sprintf("shards=%d/r%03d", shards, i), func(t *testing.T) {
-				runEquiv(t, g, c, text, query.Limits{MaxSteps: 2_000_000})
+				runEquiv(t, g, e, text, query.Limits{MaxSteps: 2_000_000})
 			})
 		}
 	}
 }
 
-// TestShardedBudgetParity: the scatter fleet's shared step/row budget
-// must abort exactly like the single engine, and cancellation must
-// surface as context.Canceled — for both scattered and direct shapes.
+// TestShardedBudgetParity: the disk-backed engine's step/row budget
+// must abort both materialized and streamed execution, and cancellation
+// must surface as context.Canceled — for scan and closure shapes.
 func TestShardedBudgetParity(t *testing.T) {
 	g := tinyGraph(t)
-	c := openCoord(t, g, 3, 1, 0)
+	e := openEngine(t, g, 3)
 	ctx := context.Background()
 	for _, text := range []string{
-		`MATCH (n:function) -[:calls]-> m RETURN n.short_name, m.short_name`, // scatter
-		figure6Query, // direct (closure rewrite)
+		`MATCH (n:function) -[:calls]-> m RETURN n.short_name, m.short_name`, // label scan
+		figure6Query, // closure rewrite
 	} {
 		for _, lim := range []query.Limits{{MaxSteps: 1}, {MaxRows: 1}} {
-			c.Limits = lim
-			if _, _, err := c.CachedQuery(ctx, text, true); !errors.Is(err, query.ErrBudgetExceeded) {
+			e.QueryLimits = lim
+			if _, _, err := e.CachedQuery(ctx, e.Snapshot(), text, true); !errors.Is(err, query.ErrBudgetExceeded) {
 				t.Fatalf("limits %+v on %q: err %v, want budget abort", lim, text, err)
 			}
-			st, _, err := c.StreamQuery(ctx, text, 0)
+			st, _, err := e.StreamQuery(ctx, e.Snapshot(), text, 0)
 			if err != nil {
 				t.Fatalf("StreamQuery under %+v: %v", lim, err)
 			}
@@ -321,22 +311,21 @@ func TestShardedBudgetParity(t *testing.T) {
 			}
 		}
 
-		c.Limits = query.Limits{}
+		e.QueryLimits = query.Limits{}
 		cctx, cancel := context.WithCancel(ctx)
 		cancel()
-		if _, _, err := c.CachedQuery(cctx, text, true); !errors.Is(err, context.Canceled) {
+		if _, _, err := e.CachedQuery(cctx, e.Snapshot(), text, true); !errors.Is(err, context.Canceled) {
 			t.Fatalf("cancelled ctx on %q: err %v, want context.Canceled", text, err)
 		}
 	}
 }
 
 // TestShardedBudgetMatchesSingleEngine pins the exact abort point: with
-// the budget set one step below what the query needs, both engines
-// abort; with the exact budget, both succeed. This is only true because
-// workers filter non-owned seeds BEFORE ticking and share one counter.
+// the budget set one step below what the in-memory execution needs, the
+// disk-backed engine aborts; with the exact budget, it succeeds.
 func TestShardedBudgetMatchesSingleEngine(t *testing.T) {
 	g := tinyGraph(t)
-	c := openCoord(t, g, 3, 1, 0)
+	e := openEngine(t, g, 3)
 	ctx := context.Background()
 	text := `MATCH (f:file) -[:file_contains]-> (n:function) RETURN f.short_name, n.short_name`
 
@@ -350,69 +339,12 @@ func TestShardedBudgetMatchesSingleEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c.Limits = query.Limits{MaxSteps: base.Steps}
-	if _, _, err := c.CachedQuery(ctx, text, true); err != nil {
+	e.QueryLimits = query.Limits{MaxSteps: base.Steps}
+	if _, _, err := e.CachedQuery(ctx, e.Snapshot(), text, true); err != nil {
 		t.Fatalf("exact budget %d: %v", base.Steps, err)
 	}
-	c.Limits = query.Limits{MaxSteps: base.Steps - 1}
-	if _, _, err := c.CachedQuery(ctx, text, true); !errors.Is(err, query.ErrBudgetExceeded) {
+	e.QueryLimits = query.Limits{MaxSteps: base.Steps - 1}
+	if _, _, err := e.CachedQuery(ctx, e.Snapshot(), text, true); !errors.Is(err, query.ErrBudgetExceeded) {
 		t.Fatalf("budget %d: err %v, want budget abort", base.Steps-1, err)
-	}
-}
-
-// TestConcurrentScatter hammers one coordinator from many goroutines:
-// the shared-state plumbing (scatter counters, round-robin, merge
-// channels) must be race-clean and every answer byte-identical.
-func TestConcurrentScatter(t *testing.T) {
-	g := tinyGraph(t)
-	c := openCoord(t, g, 3, 2, 0)
-	c.Limits = query.Limits{}
-	ctx := context.Background()
-	text := `MATCH (n:function) -[:calls]-> m RETURN n.short_name, m.short_name`
-	want, _, err := c.CachedQuery(ctx, text, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := c.Pin().Source()
-	wantS := render(src, want.Columns, want.Rows)
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 5; j++ {
-				res, _, err := c.CachedQuery(ctx, text, true)
-				if err != nil {
-					t.Errorf("concurrent query: %v", err)
-					return
-				}
-				if got := render(src, res.Columns, res.Rows); got != wantS {
-					t.Errorf("concurrent divergence (%d rows, want %d)", len(res.Rows), len(want.Rows))
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// TestEpochVectorUniform: shards commit through one atomic bundle, so
-// the pinned epoch vector is uniform and shard-count-shaped.
-func TestEpochVectorUniform(t *testing.T) {
-	g := tinyGraph(t)
-	c := openCoord(t, g, 4, 1, 0)
-	c.SetEpoch(9, nil)
-	p := c.Pin()
-	v := p.EpochVector()
-	if len(v) != 4 {
-		t.Fatalf("epoch vector length %d, want 4", len(v))
-	}
-	for i, e := range v {
-		if e != 9 {
-			t.Fatalf("epoch vector[%d] = %d, want 9", i, e)
-		}
-	}
-	if p.Epoch() != 9 {
-		t.Fatalf("Epoch() = %d, want 9", p.Epoch())
 	}
 }

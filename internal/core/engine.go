@@ -168,77 +168,6 @@ func fromGraph(g *graph.Graph) *Engine {
 	return newEngine(newSnapshot(g, g, nil))
 }
 
-// FromSource wraps an arbitrary graph.Source — notably a sharded
-// composite — as an engine. Unlike newSnapshot's file-map scan, this
-// one tolerates corruption panics on individual nodes, so a composite
-// with a quarantined shard still opens and serves the healthy part;
-// unreadable file nodes simply stay out of the path/FILE_ID maps.
-func FromSource(src graph.Source) *Engine {
-	return newEngine(newTolerantSnapshot(src))
-}
-
-// SwapSource publishes src as the live snapshot at the given epoch —
-// the source-level analogue of Swap, used by the shard coordinator when
-// an update replaces the entire shard set. The retired source's
-// lifetime is the caller's problem (shard sets are closed by the
-// coordinator once superseded).
-func (e *Engine) SwapSource(src graph.Source, epoch int64, last *UpdateSummary) {
-	next := newTolerantSnapshot(src)
-	next.epoch = epoch
-	next.last = last
-	e.snap.Store(next)
-	mSwaps.Inc()
-	mEpochGauge.Set(epoch)
-	if e.qc != nil {
-		e.qc.Invalidate()
-	}
-}
-
-// SeedGraphStats pre-seeds the live snapshot's planner statistics (e.g.
-// from a persisted gstats.json), saving the full-graph collection pass.
-// Call before the engine serves traffic; a no-op once stats have been
-// computed.
-func (e *Engine) SeedGraphStats(st *gstats.Stats) {
-	if st != nil {
-		e.Snapshot().gs.st = st
-	}
-}
-
-func newTolerantSnapshot(src graph.Source) *Snapshot {
-	s := &Snapshot{src: src, stats: &statsCache{}, gs: &gstatsCache{}}
-	s.fileIDByPath = map[string]int64{}
-	s.fileNodeByID = map[int64]graph.NodeID{}
-	n := src.NodeCount()
-	for id := graph.NodeID(0); id < graph.NodeID(n); id++ {
-		s.scanFileNode(id)
-	}
-	return s
-}
-
-// scanFileNode indexes one node into the file maps, swallowing
-// corruption-class panics so a degraded source's bad pages cost only
-// their own entries.
-func (e *Snapshot) scanFileNode(id graph.NodeID) {
-	defer func() {
-		if r := recover(); r != nil {
-			if err, ok := r.(error); ok && (errors.Is(err, store.ErrCorrupt) || errors.Is(err, store.ErrTruncated)) {
-				return
-			}
-			panic(r)
-		}
-	}()
-	if e.src.NodeType(id) != model.NodeFile {
-		return
-	}
-	p, _ := e.src.NodeProp(id, model.PropName)
-	fid, ok := e.src.NodeProp(id, "FILE_ID")
-	if !ok {
-		return
-	}
-	e.fileIDByPath[p.AsString()] = fid.AsInt()
-	e.fileNodeByID[fid.AsInt()] = id
-}
-
 // Open opens a previously saved Frappé store directory. The store
 // signals corruption by panicking with a wrapped error (graph.Source has
 // no error returns); the file-map scan touches every node, so convert
@@ -321,7 +250,18 @@ func (e *Engine) SetEpoch(epoch int64, last *UpdateSummary) {
 // The previous snapshot's disk store (if any) is retired, not closed —
 // it may still back pinned snapshots until Close.
 func (e *Engine) Swap(g *graph.Graph, epoch int64, last *UpdateSummary) {
-	next := newSnapshot(g, g, nil)
+	e.publish(newSnapshot(g, g, nil), epoch, last)
+}
+
+// SwapSource is Swap for a source the caller opened itself, such as a
+// store reopened after persisting an update. From then on the engine
+// owns src: a disk store is retired when superseded and closed by Close.
+func (e *Engine) SwapSource(src graph.Source, epoch int64, last *UpdateSummary) {
+	db, _ := src.(*store.DB)
+	e.publish(newSnapshot(src, nil, db), epoch, last)
+}
+
+func (e *Engine) publish(next *Snapshot, epoch int64, last *UpdateSummary) {
 	next.epoch = epoch
 	next.last = last
 	old := e.snap.Swap(next)

@@ -16,33 +16,12 @@ import (
 // wholly at the new one; in particular the journal can never claim an
 // epoch whose store or manifest is missing, and vice versa.
 func PersistUpdate(dir string, s *Session, g *graph.Graph, rec Record) error {
-	return PersistUpdateWith(dir, s, g, rec, func(c *atomicfile.Commit) error {
-		return store.StageTo(c, g)
-	})
-}
-
-// PersistUpdateWith is PersistUpdate with the store layout under the
-// caller's control: stage receives the open commit and stages the graph
-// files however it likes (single store, sharded store), while the
-// session state, graph statistics, and journal append ride in the same
-// commit with the same crash-consistency guarantee.
-func PersistUpdateWith(dir string, s *Session, g *graph.Graph, rec Record, stage func(*atomicfile.Commit) error) error {
 	c, err := atomicfile.NewCommit(dir)
 	if err != nil {
 		return err
 	}
 	defer c.Abort()
-	if err := stage(c); err != nil {
-		return err
-	}
-	if err := s.StageState(c); err != nil {
-		return err
-	}
-	// Graph statistics ride in the same commit so the planner's cost
-	// inputs always describe the store files next to them. Collect is
-	// deterministic over the graph, so an incrementally built epoch and
-	// a from-scratch rebuild of it stage byte-identical statistics.
-	if err := gstats.Stage(c, gstats.Collect(g)); err != nil {
+	if err := stage(c, s, g); err != nil {
 		return err
 	}
 	line, err := json.Marshal(rec)
@@ -57,26 +36,12 @@ func PersistUpdateWith(dir string, s *Session, g *graph.Graph, rec Record, stage
 // atomic bundle, but the journal is replaced with just this record
 // (epoch history restarts with a fresh extraction).
 func PersistIndex(dir string, s *Session, g *graph.Graph, rec Record) error {
-	return PersistIndexWith(dir, s, g, rec, func(c *atomicfile.Commit) error {
-		return store.StageTo(c, g)
-	})
-}
-
-// PersistIndexWith is PersistIndex with a caller-controlled store
-// layout; see PersistUpdateWith.
-func PersistIndexWith(dir string, s *Session, g *graph.Graph, rec Record, stage func(*atomicfile.Commit) error) error {
 	c, err := atomicfile.NewCommit(dir)
 	if err != nil {
 		return err
 	}
 	defer c.Abort()
-	if err := stage(c); err != nil {
-		return err
-	}
-	if err := s.StageState(c); err != nil {
-		return err
-	}
-	if err := gstats.Stage(c, gstats.Collect(g)); err != nil {
+	if err := stage(c, s, g); err != nil {
 		return err
 	}
 	line, err := json.Marshal(rec)
@@ -87,4 +52,20 @@ func PersistIndexWith(dir string, s *Session, g *graph.Graph, rec Record, stage 
 		return err
 	}
 	return c.Publish()
+}
+
+// stage puts the store files, the session's state and the graph
+// statistics into c. Statistics ride in the same commit so the
+// planner's cost inputs always describe the store files next to them.
+// Collect is deterministic over the graph, so an incrementally built
+// epoch and a from-scratch rebuild of it stage byte-identical
+// statistics.
+func stage(c *atomicfile.Commit, s *Session, g *graph.Graph) error {
+	if err := store.StageTo(c, g); err != nil {
+		return err
+	}
+	if err := s.StageState(c); err != nil {
+		return err
+	}
+	return gstats.Stage(c, gstats.Collect(g))
 }

@@ -113,22 +113,6 @@ type exec struct {
 	// planned-vs-naive equivalence tests compare genuinely different
 	// execution strategies.
 	fastPred bool
-	// domain, when set, restricts the FIRST unbound seed scan to the
-	// candidates it accepts — the scatter-gather hook: each coordinator
-	// worker owns a disjoint candidate domain and their unions equal the
-	// unsharded enumeration. Later seed scans (cartesian patterns, later
-	// MATCH clauses) run unfiltered in every worker, because their input
-	// rows are already partitioned by the first scan. domainUsed latches
-	// after the first scan; curAnchor tracks the seed currently being
-	// expanded so emitted rows can be merged back in global order.
-	domain     func(graph.NodeID) bool
-	domainUsed bool
-	curAnchor  graph.NodeID
-	// shared, when set, replaces the per-exec step/row budgets with
-	// counters shared across every worker of one scattered query, so the
-	// fleet collectively aborts at exactly the budget the single-engine
-	// run would have.
-	shared *ScatterShared
 }
 
 // tick periodically checks the context and enforces the step budget; it
@@ -136,16 +120,8 @@ type exec struct {
 // matches stay abortable.
 func (ex *exec) tick() error {
 	ex.steps++
-	if ex.limits.MaxSteps > 0 {
-		steps := ex.steps
-		if ex.shared != nil {
-			steps = ex.shared.steps.Add(1)
-		}
-		if steps > ex.limits.MaxSteps {
-			return &BudgetError{What: "steps", Limit: ex.limits.MaxSteps}
-		}
-	} else if ex.shared != nil {
-		ex.shared.steps.Add(1)
+	if ex.limits.MaxSteps > 0 && ex.steps > ex.limits.MaxSteps {
+		return &BudgetError{What: "steps", Limit: ex.limits.MaxSteps}
 	}
 	if ex.steps&1023 == 0 {
 		if err := ex.ctx.Err(); err != nil {
@@ -787,22 +763,7 @@ func (ex *exec) matchOne(row Row, pat *Pattern, hint *PatternHint, used edgeSet,
 	if err != nil {
 		return err
 	}
-	// The first unfiltered seed scan of a scattered execution is where
-	// the candidate domain applies: skipped candidates belong to (and are
-	// ticked by) another worker, so the filter runs before the tick and
-	// the workers' step counts sum to the single-engine count exactly.
-	var filter func(graph.NodeID) bool
-	if ex.domain != nil && !ex.domainUsed {
-		ex.domainUsed = true
-		filter = ex.domain
-	}
 	for _, id := range ids {
-		if filter != nil {
-			if !filter(id) {
-				continue
-			}
-			ex.curAnchor = id
-		}
 		if err := ex.tick(); err != nil {
 			return err
 		}
@@ -1000,8 +961,18 @@ func (ex *exec) nodeMatches(np *NodePattern, id graph.NodeID) bool {
 // available, full node scan otherwise (the planner behaviour that Cypher
 // 1.x exhibited, and the cost model behind ablation A4).
 func (ex *exec) scanCandidates(np *NodePattern) ([]graph.NodeID, error) {
-	if ids, ok, err := ex.indexCandidates(np); ok || err != nil {
-		return ids, err
+	for _, pm := range np.Props {
+		if pm.Val.Kind() != graph.KindString {
+			continue
+		}
+		if isIndexedPropKey(pm.Key) {
+			return ex.src.Lookup(pm.Key + ": \"" + pm.Val.AsString() + "\"")
+		}
+	}
+	for _, l := range np.Labels {
+		if isConcreteNodeType(l) {
+			return ex.src.Lookup("TYPE: \"" + l + "\"")
+		}
 	}
 	n := ex.src.NodeCount()
 	ids := make([]graph.NodeID, n)
@@ -1009,29 +980,6 @@ func (ex *exec) scanCandidates(np *NodePattern) ([]graph.NodeID, error) {
 		ids[i] = graph.NodeID(i)
 	}
 	return ids, nil
-}
-
-// indexCandidates is the index-served half of scanCandidates: ok
-// reports whether an auto-index probe applies (the coordinator's
-// single-shard fast-path check mirrors the executor through this exact
-// code, so the two can never disagree on the candidate set).
-func (ex *exec) indexCandidates(np *NodePattern) ([]graph.NodeID, bool, error) {
-	for _, pm := range np.Props {
-		if pm.Val.Kind() != graph.KindString {
-			continue
-		}
-		if isIndexedPropKey(pm.Key) {
-			ids, err := ex.src.Lookup(pm.Key + ": \"" + pm.Val.AsString() + "\"")
-			return ids, true, err
-		}
-	}
-	for _, l := range np.Labels {
-		if isConcreteNodeType(l) {
-			ids, err := ex.src.Lookup("TYPE: \"" + l + "\"")
-			return ids, true, err
-		}
-	}
-	return nil, false, nil
 }
 
 func isIndexedPropKey(key string) bool {

@@ -270,17 +270,8 @@ func (ex *exec) runStream(q *Query, matchHints [][]PatternHint, onCols func([]st
 		case *MatchClause:
 			matched := false
 			err := ex.matchPatterns(row, t.Patterns, hintsAt[i], edgeSet{}, func(r Row) error {
-				var n int
-				if ex.shared != nil {
-					// Scattered workers share one per-clause row count, so
-					// the fleet aborts at the same budget the single-engine
-					// run would.
-					n = int(ex.shared.rows[i].Add(1))
-				} else {
-					matchCounts[i]++
-					n = matchCounts[i]
-				}
-				if err := ex.checkRows(n); err != nil {
+				matchCounts[i]++
+				if err := ex.checkRows(matchCounts[i]); err != nil {
 					return err
 				}
 				matched = true

@@ -253,11 +253,20 @@ func TestSlowRequestLogging(t *testing.T) {
 	slowBefore := mSlow.Value()
 	getJSON(t, ts.URL+"/api/stats", http.StatusOK)
 
-	mu.Lock()
-	joined := strings.Join(lines, "\n")
-	mu.Unlock()
-	if !strings.Contains(joined, "slow request") || !strings.Contains(joined, "/api/stats") {
-		t.Fatalf("no slow-request line via Logf; got:\n%s", joined)
+	// The slow line is written after the handler returns, and a stats
+	// body larger than net/http's buffers reaches the client before
+	// that; give the middleware a moment to finish behind the response.
+	var joined string
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		mu.Lock()
+		joined = strings.Join(lines, "\n")
+		mu.Unlock()
+		if strings.Contains(joined, "slow request") && strings.Contains(joined, "/api/stats") {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no slow-request line via Logf; got:\n%s", joined)
+		}
 	}
 	if !strings.Contains(joined, "req-") {
 		t.Fatalf("slow line lacks request ID:\n%s", joined)

@@ -108,12 +108,9 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	// avoids the quarantined pages, so pulling it from rotation would turn
 	// a partial failure into a total one. Probes and dashboards see the
 	// state; /api/admin/verify heals it.
-	if s.degraded() {
+	if s.eng.Degraded() {
 		resp["status"] = "degraded"
-		resp["quarantinedPages"] = s.quarantinedPages()
-	}
-	if s.Coord != nil {
-		resp["shards"] = s.Coord.Shards()
+		resp["quarantinedPages"] = s.eng.QuarantinedPages()
 	}
 	s.writeJSON(w, http.StatusOK, resp)
 }

@@ -34,7 +34,6 @@ import (
 	"time"
 
 	"frappe/internal/codemap"
-	"frappe/internal/coord"
 	"frappe/internal/core"
 	"frappe/internal/graph"
 	"frappe/internal/gstats"
@@ -89,13 +88,6 @@ type Server struct {
 	// persistence and the snapshot swap happen behind it) and returns the
 	// outcome. Wired by cmd/frappe serve when serving a live tree.
 	Update UpdateFunc
-	// Coord, when non-nil, routes the query surfaces (/api/query, stream,
-	// batch) through the sharded scatter-gather coordinator instead of the
-	// engine, and sources degraded-mode state from it. The engine passed
-	// to New must be Coord.Engine() — the coordinator's view over the
-	// composite — so every non-query endpoint keeps working unchanged.
-	// Set before the first request.
-	Coord *coord.Coordinator
 	// QueryTimeout bounds each Cypher query (default 30s).
 	QueryTimeout time.Duration
 	// MaxConcurrent caps in-flight requests (default
@@ -288,30 +280,6 @@ func (s *Server) writeQueryErr(w http.ResponseWriter, ctx context.Context, fallb
 	}
 }
 
-// degraded, quarantinedPages and heal abstract over the two serving
-// shapes: a sharded coordinator tracks quarantine per shard per
-// replica; a plain engine tracks its single store.
-func (s *Server) degraded() bool {
-	if s.Coord != nil {
-		return s.Coord.Degraded()
-	}
-	return s.eng.Degraded()
-}
-
-func (s *Server) quarantinedPages() map[string][]int64 {
-	if s.Coord != nil {
-		return s.Coord.QuarantinedPages()
-	}
-	return s.eng.QuarantinedPages()
-}
-
-func (s *Server) heal() (healed, remaining int) {
-	if s.Coord != nil {
-		return s.Coord.Heal()
-	}
-	return s.eng.Heal()
-}
-
 // --- endpoints ---
 
 type queryRequest struct {
@@ -400,11 +368,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	snap := s.eng.Snapshot()
 	epoch, src := snap.Epoch(), snap.Source()
-	var pin *coord.Pinned
-	if s.Coord != nil {
-		p := s.Coord.Pin()
-		pin, epoch, src = &p, p.Epoch(), p.Source()
-	}
 	if req.Cursor != "" && cur.Epoch != epoch {
 		// The graph the cursor was paging through has been swapped out;
 		// resuming at a row offset against different data would silently
@@ -422,14 +385,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var err error
 	switch {
 	case req.Profile:
-		// PROFILE always runs single-engine — under a coordinator that is
-		// the view engine over the whole composite, so the trace stays a
-		// faithful per-operator account of one unsharded execution.
 		res, prof, err = snap.QueryProfile(ctx, req.Query, s.eng.QueryLimits)
 		hits := s.eng.QueryCacheHits(snap, req.Query)
 		cacheHits = &hits
-	case pin != nil:
-		res, outcome, err = pin.CachedQuery(ctx, req.Query, req.NoCache)
 	default:
 		res, outcome, err = s.eng.CachedQuery(ctx, snap, req.Query, req.NoCache)
 	}
@@ -508,22 +466,6 @@ type statsResponse struct {
 	// QuarantinedPages lists quarantined page numbers by store file
 	// (present only when degraded).
 	QuarantinedPages map[string][]int64 `json:"quarantinedPages,omitempty"`
-	// Shards describes the sharded store topology (absent when serving a
-	// single-store engine).
-	Shards *shardStats `json:"shards,omitempty"`
-}
-
-// shardStats is the /api/stats section for a sharded store.
-type shardStats struct {
-	Count    int `json:"count"`
-	Replicas int `json:"replicas"`
-	// EpochVector is the per-shard epoch vector pinned for this request;
-	// shards commit through one atomic bundle, so a healthy vector is
-	// uniform.
-	EpochVector []int64 `json:"epochVector"`
-	// DownShards lists shard indices that failed to open (-1 = cut-edge
-	// store); present only when degraded.
-	DownShards []int `json:"downShards,omitempty"`
 }
 
 type hub struct {
@@ -543,20 +485,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		QCache: s.eng.QueryCacheStats(),
 		Shed:   s.ShedCount(),
 	}
-	if s.Coord != nil {
-		p := s.Coord.Pin()
-		resp.Epoch, resp.LastUpdate = p.Epoch(), p.LastUpdate()
-		resp.QCache = s.Coord.QueryCacheStats()
-		resp.Shards = &shardStats{
-			Count:       s.Coord.Shards(),
-			Replicas:    s.Coord.Replicas(),
-			EpochVector: p.EpochVector(),
-			DownShards:  s.Coord.DownShards(),
-		}
-	}
-	if s.degraded() {
+	if s.eng.Degraded() {
 		resp.Degraded = true
-		resp.QuarantinedPages = s.quarantinedPages()
+		resp.QuarantinedPages = s.eng.QuarantinedPages()
 	}
 	pc := plan.CountersSnapshot()
 	pc.StatsRebuilds = gstats.Rebuilds()
@@ -619,15 +550,15 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 // after state.
 func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	before := 0
-	for _, pages := range s.quarantinedPages() {
+	for _, pages := range s.eng.QuarantinedPages() {
 		before += len(pages)
 	}
-	healed, remaining := s.heal()
+	healed, remaining := s.eng.Heal()
 	s.writeJSON(w, http.StatusOK, map[string]any{
 		"quarantinedBefore": before,
 		"healed":            healed,
 		"quarantinedAfter":  remaining,
-		"degraded":          s.degraded(),
+		"degraded":          s.eng.Degraded(),
 	})
 }
 

@@ -17,9 +17,7 @@ import (
 	"net/http"
 	"time"
 
-	"frappe/internal/coord"
 	"frappe/internal/obs/trace"
-	"frappe/internal/qcache"
 	"frappe/internal/query"
 	"frappe/internal/store"
 )
@@ -117,16 +115,7 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	// pages lazily, so the delta is only meaningful after st.Wait().
 	pager := snap.PagerSpan(ctx)
 	defer pager()
-	var st *query.Stream
-	var outcome qcache.Outcome
-	var err error
-	if s.Coord != nil {
-		p := s.Coord.Pin()
-		epoch, src = p.Epoch(), p.Source()
-		st, outcome, err = p.StreamQuery(ctx, req.Query, 0)
-	} else {
-		st, outcome, err = s.eng.StreamQuery(ctx, snap, req.Query, 0)
-	}
+	st, outcome, err := s.eng.StreamQuery(ctx, snap, req.Query, 0)
 	if err != nil {
 		// Parse/compile failures surface synchronously, before the
 		// response commits to NDJSON, so clients still get a plain 400.
@@ -147,13 +136,13 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	cw := &countingWriter{w: w}
 	defer func() { mStreamBytes.Add(cw.n) }()
 	enc := json.NewEncoder(cw) // Encode appends \n: one value per line
-	aborted := false
+	writeFailed := false
 	writeChunk := func(v any) bool {
 		if err := enc.Encode(v); err != nil {
 			// The client went away mid-stream. Count the write failure,
 			// cancel the executor, and stop — there is nobody to tell.
 			mWriteErrors.Inc()
-			aborted = true
+			writeFailed = true
 			s.reqLog(r, w.Header()).Warn("stream write failed",
 				"path", r.URL.Path, "err", err)
 			cancel()
@@ -185,6 +174,19 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	}
 	_, steps, execErr := st.Wait()
 
+	// A client that hangs up cancels r.Context(), which stops the
+	// executor; the rows it had already produced can still land in the
+	// response buffer without any Encode failing. Either way the stream
+	// ended because nobody is listening: count one write error and one
+	// abort, and write no terminal line.
+	if writeFailed || r.Context().Err() != nil {
+		if !writeFailed {
+			mWriteErrors.Inc()
+		}
+		mStreamAborts.Inc()
+		return
+	}
+
 	term := streamTerminal{
 		Count:    sent,
 		Steps:    steps,
@@ -194,7 +196,6 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 		TraceID:  trace.FromContext(ctx).TraceID(),
 	}
 	if execErr != nil {
-		aborted = true
 		term.Error = execErr.Error()
 		// The HTTP status is already 200 (the stream committed), so the
 		// root span never sees a 5xx; mark the failure on it here or the
@@ -207,14 +208,14 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 		} else if errors.Is(execErr, query.ErrBudgetExceeded) {
 			sp.Retain("budget")
 		}
-		if ctx.Err() != nil && r.Context().Err() == nil {
-			// The server's own deadline expired (not a client disconnect):
-			// same counter the materialized path's 504 increments.
+		if ctx.Err() != nil {
+			// The server's own deadline expired (the client is still
+			// connected): same counter the materialized path's 504
+			// increments.
 			mQueryTimeouts.Inc()
 		}
 	}
-	writeChunk(term)
-	if aborted {
+	if !writeChunk(term) || execErr != nil {
 		mStreamAborts.Inc()
 	}
 }
@@ -267,13 +268,7 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	batchStart := time.Now()
 	snap := s.eng.Snapshot() // one pin shared by every execution
 	src := snap.Source()
-	epoch := snap.Epoch()
-	var pin *coord.Pinned
-	if s.Coord != nil {
-		p := s.Coord.Pin()
-		pin, epoch, src = &p, p.Epoch(), p.Source()
-	}
-	out := batchResponse{Epoch: epoch, Results: make([]batchEntry, len(req.Queries))}
+	out := batchResponse{Epoch: snap.Epoch(), Results: make([]batchEntry, len(req.Queries))}
 	sp := trace.FromContext(ctx)
 	for i, q := range req.Queries {
 		ent := &out.Results[i]
@@ -287,14 +282,7 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		esp := sp.Child("batch.entry", trace.Int("index", int64(i)))
 		entCtx := trace.ContextWith(ctx, esp)
 		start := time.Now()
-		var res *query.Result
-		var outcome qcache.Outcome
-		var err error
-		if pin != nil {
-			res, outcome, err = pin.CachedQuery(entCtx, q.Query, q.NoCache)
-		} else {
-			res, outcome, err = s.eng.CachedQuery(entCtx, snap, q.Query, q.NoCache)
-		}
+		res, outcome, err := s.eng.CachedQuery(entCtx, snap, q.Query, q.NoCache)
 		ent.Millis = float64(time.Since(start).Microseconds()) / 1000
 		if err != nil {
 			esp.SetError(err)

@@ -36,6 +36,24 @@ const (
 	IndexFile  = "neostore.index.db"
 )
 
+// dataFiles are the checksummed store files, each with a sidecar named
+// by ChecksumSuffix; MetaFile carries its own checksum instead.
+var dataFiles = []string{NodeFile, RelFile, PropFile, StringFile, KeyFile, IndexFile}
+
+// IsStoreFile reports whether name is the base name of a file a store
+// directory holds: the meta file, a data file, or a checksum sidecar.
+func IsStoreFile(name string) bool {
+	if name == MetaFile {
+		return true
+	}
+	for _, f := range dataFiles {
+		if name == f || name == f+ChecksumSuffix {
+			return true
+		}
+	}
+	return false
+}
+
 // Record sizes. Node and relationship records are fixed-size so that a
 // record address is a multiplication, as in Neo4j's store files.
 const (

@@ -76,7 +76,7 @@ func Verify(dir string) (*VerifyReport, error) {
 
 	wantCRC := r.FormatVersion >= formatVer
 	sizes := map[string]int64{}
-	for _, name := range []string{NodeFile, RelFile, PropFile, StringFile, KeyFile, IndexFile} {
+	for _, name := range dataFiles {
 		fc := verifyDataFile(dir, name, wantCRC)
 		sizes[name] = fc.Bytes
 		r.addFile(fc)

@@ -38,29 +38,14 @@ func Write(dir string, g *graph.Graph) error {
 // artifacts — delta session state, the update journal — into one atomic
 // unit (see delta.PersistUpdate).
 func StageTo(c *atomicfile.Commit, g *graph.Graph) error {
-	return StageSub(c, "", g)
-}
-
-// StageSub is StageTo with the store files placed under sub (a
-// slash-relative subdirectory of the commit's directory; "" means the
-// directory itself). One commit can stage several self-contained stores
-// this way — the sharded layout writes every shard plus its sidecars as
-// a single atomic unit, so a crash never leaves shards at mixed epochs.
-func StageSub(c *atomicfile.Commit, sub string, g *graph.Graph) error {
-	join := func(name string) string {
-		if sub == "" {
-			return name
-		}
-		return sub + "/" + name
-	}
-	w := &writer{g: g, path: func(name string) string { return c.Path(join(name)) }}
+	w := &writer{g: g, path: c.Path}
 	if err := w.run(); err != nil {
 		return err
 	}
-	c.Add(join(MetaFile))
-	for _, name := range []string{NodeFile, RelFile, PropFile, StringFile, KeyFile, IndexFile} {
-		c.Add(join(name))
-		c.Add(join(name) + ChecksumSuffix)
+	c.Add(MetaFile)
+	for _, name := range dataFiles {
+		c.Add(name)
+		c.Add(name + ChecksumSuffix)
 	}
 	return nil
 }
@@ -129,7 +114,7 @@ func (w *writer) run() (err error) {
 	}
 	// Checksum sidecars last, once every data file is final. The meta
 	// file carries its own CRC instead of a sidecar.
-	for _, name := range []string{NodeFile, RelFile, PropFile, StringFile, KeyFile, IndexFile} {
+	for _, name := range dataFiles {
 		if err := writeChecksums(w.path(name)); err != nil {
 			return err
 		}
