@@ -110,7 +110,8 @@ type Engine struct {
 	// qc, when non-nil, caches parsed plans and finished result tables
 	// and coalesces concurrent identical queries (singleflight). Set via
 	// SetQueryCache at startup, before the engine serves concurrent
-	// traffic; every snapshot swap invalidates the result side.
+	// traffic; every snapshot swap refills the hot results for the new
+	// snapshot and drops the rest (see publish).
 	qc *qcache.Cache
 
 	// updateMu serialises update application (plan → extract → persist →
@@ -250,7 +251,7 @@ func (e *Engine) SetEpoch(epoch int64, last *UpdateSummary) {
 // The previous snapshot's disk store (if any) is retired, not closed —
 // it may still back pinned snapshots until Close.
 func (e *Engine) Swap(g *graph.Graph, epoch int64, last *UpdateSummary) {
-	e.publish(newSnapshot(g, g, nil), epoch, last)
+	e.publish(newSnapshot(g, g, nil), epoch, last, time.Now())
 }
 
 // SwapSource is Swap for a source the caller opened itself, such as a
@@ -258,27 +259,77 @@ func (e *Engine) Swap(g *graph.Graph, epoch int64, last *UpdateSummary) {
 // owns src: a disk store is retired when superseded and closed by Close.
 func (e *Engine) SwapSource(src graph.Source, epoch int64, last *UpdateSummary) {
 	db, _ := src.(*store.DB)
-	e.publish(newSnapshot(src, nil, db), epoch, last)
+	e.publish(newSnapshot(src, nil, db), epoch, last, time.Now())
 }
 
-func (e *Engine) publish(next *Snapshot, epoch int64, last *UpdateSummary) {
+// minRefillBudget is the least time a publish may spend refilling the
+// query cache, however fast the update before it was.
+const minRefillBudget = 250 * time.Millisecond
+
+// publish makes next the live snapshot. Everything a reader of next
+// would otherwise pay for first happens before the swap: the planner
+// statistics are computed, and with a query cache installed, the
+// results hit during the outgoing epoch are re-executed against next
+// and stored under next's epoch. After the swap the other epochs'
+// results are dropped. A swap that reuses the epoch refills nothing and
+// drops every result, since old and new entries would share keys.
+//
+// The refill may take as long as everything since start (the update
+// that produced next) took, or minRefillBudget if that is longer, so
+// the time an edit takes to become visible at most about doubles
+// however many results are hot. It refills the most recently used
+// results first; those it has no time for are executed by their first
+// readers. Returns the time spent refilling.
+func (e *Engine) publish(next *Snapshot, epoch int64, last *UpdateSummary, start time.Time) (refill time.Duration) {
 	next.epoch = epoch
 	next.last = last
+	next.GraphStats()
+	if prev := e.snap.Load(); e.qc != nil && prev != nil && prev.epoch != epoch {
+		t := time.Now()
+		e.refill(prev.epoch, next, max(t.Sub(start), minRefillBudget))
+		refill = time.Since(t)
+	}
 	old := e.snap.Swap(next)
 	mSwaps.Inc()
 	mEpochGauge.Set(epoch)
-	// Drop every cached result: entries are epoch-keyed, but wholesale
-	// invalidation also protects against epoch reuse and caps the memory
-	// held for a graph nobody can query any more.
 	if e.qc != nil {
-		e.qc.Invalidate()
+		if old != nil && old.epoch == epoch {
+			e.qc.Invalidate()
+		} else {
+			e.qc.Retain(epoch)
+		}
 	}
 	if old != nil && old.db != nil {
 		e.mu.Lock()
 		e.retired = append(e.retired, old.db)
 		e.mu.Unlock()
 	}
+	return refill
 }
+
+// refill re-executes against next, within budget, the cached results
+// hit during epoch from, under the limits each was cached with, and
+// stores the successes under next's epoch, so the first readers after
+// the swap find the results they were reading already computed. An
+// execution still running when the budget runs out is cancelled. A
+// failed refill is not cached and does not fail the publish.
+func (e *Engine) refill(from int64, next *Snapshot, budget time.Duration) {
+	ctx, cancel := context.WithTimeout(context.Background(), budget)
+	defer cancel()
+	keys := e.qc.Hot(from)
+	for i := range keys {
+		keys[i].Epoch = next.epoch
+	}
+	e.qc.Refill(ctx, keys, func(ctx context.Context, k qcache.Key) (*query.Result, error) {
+		p, err := e.planFor(ctx, e.qc, next, k.Text)
+		if err != nil {
+			return nil, err
+		}
+		return p.Execute(ctx, next.Source(), k.Limits)
+	})
+}
+
+func millis(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 // UpdateWith applies one update under the engine's update lock. fn
 // receives the live graph and returns the replacement graph, its epoch,
@@ -290,8 +341,8 @@ func (e *Engine) UpdateWith(fn func(old graph.Source) (*graph.Graph, int64, *Upd
 	e.updateMu.Lock()
 	defer e.updateMu.Unlock()
 	start := time.Now()
+	defer func() { mUpdateDuration.Observe(millis(time.Since(start))) }()
 	g, epoch, last, err := fn(e.Snapshot().Source())
-	mUpdateDuration.Observe(float64(time.Since(start)) / float64(time.Millisecond))
 	if err != nil {
 		mUpdatesFailed.Inc()
 		return false, err
@@ -300,7 +351,10 @@ func (e *Engine) UpdateWith(fn func(old graph.Source) (*graph.Graph, int64, *Upd
 		mUpdatesNoop.Inc()
 		return false, nil
 	}
-	e.Swap(g, epoch, last)
+	t := time.Now()
+	refill := e.publish(newSnapshot(g, g, nil), epoch, last, start)
+	mPhaseRefill.Observe(millis(refill))
+	mPhasePublish.Observe(millis(time.Since(t) - refill))
 	mUpdatesApplied.Inc()
 	return true, nil
 }
@@ -441,8 +495,10 @@ func (e *Engine) FileIDOf(path string) (int64, bool) {
 
 // GraphStats returns the planner statistics for this snapshot,
 // computing them at most once. A snapshot opened from a store directory
-// adopts the persisted gstats.json; otherwise the first caller pays one
-// full-graph collection pass and everyone after reads the cached value.
+// adopts the persisted gstats.json, and a published one has them
+// computed before its swap (publish); otherwise the first caller pays
+// one full-graph collection pass and everyone after reads the cached
+// value.
 // Returns nil when collection hit quarantined store pages — statistics
 // are advisory cost inputs, and a degraded store must keep serving the
 // queries that avoid its bad pages.

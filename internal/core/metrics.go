@@ -1,6 +1,7 @@
 package core
 
 import (
+	"frappe/internal/delta"
 	"frappe/internal/obs"
 	"frappe/internal/store"
 )
@@ -15,7 +16,9 @@ var (
 	mEpochGauge = obs.Default.Gauge("frappe_core_epoch",
 		"Update generation of the live snapshot.", nil)
 	mUpdateDuration = obs.Default.Histogram("frappe_core_update_duration_ms",
-		"Wall time of UpdateWith calls (plan through swap) in milliseconds.", nil, nil)
+		"Wall time of UpdateWith calls (plan through publish) in milliseconds.", nil, nil)
+	mPhasePublish   = delta.PhaseHistogram("publish")
+	mPhaseRefill    = delta.PhaseHistogram("refill")
 	mUpdatesApplied = obs.Default.Counter("frappe_core_updates_total",
 		"UpdateWith outcomes by result.", obs.Labels{"result": "applied"})
 	mUpdatesNoop = obs.Default.Counter("frappe_core_updates_total",

@@ -27,7 +27,9 @@ func (d Diff) Zero() bool {
 	return d.NodesAdded == 0 && d.NodesRemoved == 0 && d.EdgesAdded == 0 && d.EdgesRemoved == 0
 }
 
-// Compute diffs new against old by signature multiset.
+// Compute diffs new against old by signature multiset, building every
+// signature as a string. The update path counts the same multisets by
+// hash (sighash.go); Compute is the reference the tests hold it to.
 func Compute(old, new graph.Source) Diff {
 	var d Diff
 	oldNodes := countMultiset(NodeSignatures(old))
@@ -70,7 +72,12 @@ type sigTable struct {
 }
 
 func newSigTable(src graph.Source) *sigTable {
-	t := &sigTable{src: src, pathByID: map[int64]string{}}
+	return &sigTable{src: src, pathByID: filePaths(src)}
+}
+
+// filePaths maps every FILE_ID in src to its file's path.
+func filePaths(src graph.Source) map[int64]string {
+	paths := map[int64]string{}
 	n := src.NodeCount()
 	for id := graph.NodeID(0); id < graph.NodeID(n); id++ {
 		if src.NodeType(id) != model.NodeFile {
@@ -81,10 +88,10 @@ func newSigTable(src graph.Source) *sigTable {
 			continue
 		}
 		if p, ok := src.NodeProp(id, model.PropName); ok {
-			t.pathByID[fid.AsInt()] = p.AsString()
+			paths[fid.AsInt()] = p.AsString()
 		}
 	}
-	return t
+	return paths
 }
 
 // fileIDKeys are the properties whose values are run-local file IDs.

@@ -2,6 +2,7 @@ package delta
 
 import (
 	"encoding/json"
+	"time"
 
 	"frappe/internal/atomicfile"
 	"frappe/internal/graph"
@@ -16,6 +17,7 @@ import (
 // wholly at the new one; in particular the journal can never claim an
 // epoch whose store or manifest is missing, and vice versa.
 func PersistUpdate(dir string, s *Session, g *graph.Graph, rec Record) error {
+	start := time.Now()
 	c, err := atomicfile.NewCommit(dir)
 	if err != nil {
 		return err
@@ -29,7 +31,11 @@ func PersistUpdate(dir string, s *Session, g *graph.Graph, rec Record) error {
 		return err
 	}
 	c.Append(JournalFile, append(line, '\n'))
-	return c.Publish()
+	if err := s.publish(c); err != nil {
+		return err
+	}
+	observePhase(mPhaseStage, start, time.Now())
+	return nil
 }
 
 // PersistIndex is PersistUpdate for a from-scratch index: the same
@@ -51,7 +57,7 @@ func PersistIndex(dir string, s *Session, g *graph.Graph, rec Record) error {
 	if err := c.WriteFile(JournalFile, append(line, '\n')); err != nil {
 		return err
 	}
-	return c.Publish()
+	return s.publish(c)
 }
 
 // stage puts the store files, the session's state and the graph

@@ -12,6 +12,7 @@ import (
 	"path"
 	"path/filepath"
 	"sort"
+	"time"
 
 	"frappe/internal/atomicfile"
 	"frappe/internal/cparse"
@@ -38,21 +39,37 @@ type Session struct {
 	// forceDirty marks units whose cached artifact could not be restored
 	// and must re-extract on the next update regardless of hashes.
 	forceDirty map[string]bool
+	// dirty names the units sent through the frontend since the
+	// session's state was last published to stagedDir, the only tucache
+	// entries StageState must rewrite there.
+	dirty     map[string]bool
+	stagedDir string
+	// last is the graph the session assembled most recently, and
+	// lastSigs its signature hashes once an update has computed them:
+	// when the next update diffs against that same graph, only the new
+	// side is hashed.
+	last     *graph.Graph
+	lastSigs *sigSet
+}
+
+func newSession(opts extract.Options) *Session {
+	return &Session{
+		opts:       opts,
+		files:      cpp.NewFileTable(),
+		arts:       map[string]*extract.UnitArtifact{},
+		failed:     map[string]error{},
+		forceDirty: map[string]bool{},
+		dirty:      map[string]bool{},
+	}
 }
 
 // NewSession runs a full extraction over build and returns the session
 // plus its result. Equivalent to extract.Run (including its opts.Jobs
 // frontend fan-out), but retaining the state later Update calls need.
 func NewSession(build extract.Build, opts extract.Options) (*Session, *extract.Result, error) {
-	s := &Session{
-		opts:       opts,
-		files:      cpp.NewFileTable(),
-		arts:       map[string]*extract.UnitArtifact{},
-		failed:     map[string]error{},
-		forceDirty: map[string]bool{},
-	}
+	s := newSession(opts)
 	s.runFrontends(build.Units)
-	res := s.assemble(build)
+	res := s.assemble(build, nil)
 	s.manifest = buildManifest(build, s.arts, s.files, opts.FS, 0)
 	return s, res, nil
 }
@@ -89,8 +106,14 @@ type Update struct {
 // units, re-assembles the graph from cached artifacts, and diffs it
 // against old (the live graph; nil skips the diff). An empty plan is a
 // no-op: the epoch does not advance and no graph is built.
+//
+// The diff hashes signatures (see sighash.go). When old is the graph
+// this session assembled last, its hashes are reused from the previous
+// update, so only the new graph is hashed.
 func (s *Session) Update(build extract.Build, old graph.Source) (*Update, error) {
+	start := time.Now()
 	plan, err := s.Plan(build)
+	planned := time.Now()
 	if err != nil {
 		return nil, err
 	}
@@ -102,6 +125,7 @@ func (s *Session) Update(build extract.Build, old graph.Source) (*Update, error)
 		delete(s.arts, src)
 		delete(s.failed, src)
 		delete(s.forceDirty, src)
+		delete(s.dirty, src)
 	}
 	unitBySource := make(map[string]extract.CompileUnit, len(build.Units))
 	for _, u := range build.Units {
@@ -118,7 +142,10 @@ func (s *Session) Update(build extract.Build, old graph.Source) (*Update, error)
 		units = append(units, u)
 	}
 	s.runFrontends(units)
-	res := s.assemble(build)
+	extracted := time.Now()
+	prev, prevSigs := s.last, s.lastSigs
+	res := s.assemble(build, old)
+	assembled := time.Now()
 	up := &Update{
 		Plan:        plan,
 		Result:      res,
@@ -126,8 +153,16 @@ func (s *Session) Update(build extract.Build, old graph.Source) (*Update, error)
 		Reextracted: len(reext),
 	}
 	if old != nil {
-		up.Diff = Compute(old, res.Graph)
+		if g, ok := old.(*graph.Graph); !ok || g != prev || prevSigs == nil {
+			prevSigs = hashSignatures(old)
+		}
+		s.lastSigs = hashSignatures(res.Graph)
+		up.Diff = prevSigs.diff(s.lastSigs)
+		observePhase(mPhaseDiff, assembled, time.Now())
 	}
+	observePhase(mPhasePlan, start, planned)
+	observePhase(mPhaseFrontend, planned, extracted)
+	observePhase(mPhaseAssemble, extracted, assembled)
 	s.manifest = buildManifest(build, s.arts, s.files, s.opts.FS, up.Epoch)
 	mUpdates.Inc()
 	mDirty.Add(int64(len(reext)))
@@ -143,6 +178,7 @@ func (s *Session) Update(build extract.Build, old graph.Source) (*Update, error)
 func (s *Session) runFrontends(units []extract.CompileUnit) {
 	arts, errs := extract.Frontends(units, s.opts, s.files)
 	for i, u := range units {
+		s.dirty[u.Source] = true
 		if a := arts[i]; a != nil {
 			delete(s.failed, u.Source)
 			s.arts[u.Source] = a
@@ -159,7 +195,7 @@ func (s *Session) runFrontends(units []extract.CompileUnit) {
 // could not be restored are absent until the next Update re-extracts
 // them (Resume marks them force-dirty).
 func (s *Session) Assemble(build extract.Build) *extract.Result {
-	return s.assemble(build)
+	return s.assemble(build, nil)
 }
 
 // NeedsRepair reports whether any unit lost its cached artifact and
@@ -168,8 +204,11 @@ func (s *Session) NeedsRepair() bool { return len(s.forceDirty) > 0 }
 
 // assemble re-runs the emission phases over the session's artifacts in
 // build-unit order, prepending persistent frontend errors the way
-// extract.Run does.
-func (s *Session) assemble(build extract.Build) *extract.Result {
+// extract.Run does. The new graph reserves the size of the graph it
+// replaces (the session's last one, else old; nil: no hint) plus 1/32:
+// an edit usually adds a few entities, and a reserve of exactly the old
+// size would make the first one past it regrow the whole edge slice.
+func (s *Session) assemble(build extract.Build, old graph.Source) *extract.Result {
 	arts := make([]*extract.UnitArtifact, 0, len(s.arts))
 	var hard []error
 	for _, u := range build.Units {
@@ -179,8 +218,15 @@ func (s *Session) assemble(build extract.Build) *extract.Result {
 			hard = append(hard, err)
 		}
 	}
-	res := extract.Assemble(arts, build.Modules, s.opts, s.files)
+	var nodes, edges int64
+	if s.last != nil {
+		nodes, edges = s.last.NodeCount(), s.last.EdgeCount()
+	} else if old != nil {
+		nodes, edges = old.NodeCount(), old.EdgeCount()
+	}
+	res := extract.Assemble(arts, build.Modules, s.opts, s.files, int(nodes+nodes/32), int(edges+edges/32))
 	res.Errors = append(hard, res.Errors...)
+	s.last, s.lastSigs = res.Graph, nil
 	return res
 }
 
@@ -230,7 +276,21 @@ func (s *Session) SaveState(dir string) error {
 	if err := s.StageState(c); err != nil {
 		return err
 	}
-	return c.Publish()
+	return s.publish(c)
+}
+
+// publish publishes a commit holding the session's staged state and,
+// once it has succeeded, records that the state is on disk in the
+// commit's directory, so the next StageState there rewrites only the
+// units re-extracted after this point. A failed publish keeps the dirty
+// set: the next attempt stages those units again.
+func (s *Session) publish(c *atomicfile.Commit) error {
+	if err := c.Publish(); err != nil {
+		return err
+	}
+	s.dirty = map[string]bool{}
+	s.stagedDir = filepath.Clean(c.Dir())
+	return nil
 }
 
 // StageState stages the session's persistent state — manifest, file
@@ -238,7 +298,13 @@ func (s *Session) SaveState(dir string) error {
 // into an open commit without publishing it, so callers can bundle the
 // session with the store files and a journal record into one atomic unit
 // (see PersistUpdate).
+//
+// When the session's state was last published to the commit's own
+// directory, only the units re-extracted since then get a new gob; the
+// other entries on disk already hold their artifacts and are left
+// untouched. A commit into any other directory stages every entry.
 func (s *Session) StageState(c *atomicfile.Commit) error {
+	all := filepath.Clean(c.Dir()) != s.stagedDir
 	ft, err := json.Marshal(fileTableState{Paths: s.files.Paths()})
 	if err != nil {
 		return err
@@ -253,28 +319,16 @@ func (s *Session) StageState(c *atomicfile.Commit) error {
 	}
 	sort.Strings(sources) // deterministic staging (and crash-point) order
 	for _, src := range sources {
-		a := s.arts[src]
-		ct := cachedTU{
-			Source:         a.Unit.Source,
-			Object:         a.Unit.Object,
-			RootFile:       a.RootFile,
-			Tokens:         a.PP.Tokens,
-			Includes:       a.PP.Includes,
-			Expansions:     a.PP.Expansions,
-			Interrogations: a.PP.Interrogations,
-			MacroDefs:      a.PP.MacroDefs,
-			Probes:         a.PP.Probes,
-		}
-		for _, e := range a.PP.Errors {
-			ct.PPDiags = append(ct.PPDiags, e.Error())
-		}
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&ct); err != nil {
-			return fmt.Errorf("delta: encode %s: %w", src, err)
-		}
 		name := cacheName(src)
 		keep[name] = true
-		if err := c.WriteFile(path.Join(CacheDir, name), buf.Bytes()); err != nil {
+		if !all && !s.dirty[src] {
+			continue
+		}
+		b, err := encodeArtifact(s.arts[src])
+		if err != nil {
+			return err
+		}
+		if err := c.WriteFile(path.Join(CacheDir, name), b); err != nil {
 			return err
 		}
 	}
@@ -297,6 +351,29 @@ func (s *Session) StageState(c *atomicfile.Commit) error {
 	return c.WriteFile(ManifestFile, append(mb, '\n'))
 }
 
+// encodeArtifact renders one artifact as its tucache entry.
+func encodeArtifact(a *extract.UnitArtifact) ([]byte, error) {
+	ct := cachedTU{
+		Source:         a.Unit.Source,
+		Object:         a.Unit.Object,
+		RootFile:       a.RootFile,
+		Tokens:         a.PP.Tokens,
+		Includes:       a.PP.Includes,
+		Expansions:     a.PP.Expansions,
+		Interrogations: a.PP.Interrogations,
+		MacroDefs:      a.PP.MacroDefs,
+		Probes:         a.PP.Probes,
+	}
+	for _, e := range a.PP.Errors {
+		ct.PPDiags = append(ct.PPDiags, e.Error())
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&ct); err != nil {
+		return nil, fmt.Errorf("delta: encode %s: %w", a.Unit.Source, err)
+	}
+	return buf.Bytes(), nil
+}
+
 // Resume restores a session saved by SaveState. Artifacts whose cache
 // entry is missing or unreadable are marked force-dirty: the next Update
 // re-extracts them instead of failing. Returns os.ErrNotExist (wrapped)
@@ -312,14 +389,10 @@ func Resume(dir string, opts extract.Options) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{
-		opts:       opts,
-		files:      cpp.NewFileTable(),
-		arts:       map[string]*extract.UnitArtifact{},
-		failed:     map[string]error{},
-		forceDirty: map[string]bool{},
-		manifest:   m,
-	}
+	s := newSession(opts)
+	s.manifest = m
+	// The restored artifacts are exactly the entries on disk in dir.
+	s.stagedDir = filepath.Clean(dir)
 	cache := filepath.Join(dir, CacheDir)
 	ftb, err := os.ReadFile(filepath.Join(cache, fileTableFile))
 	if err != nil {

@@ -137,12 +137,15 @@ func newPreprocessor(opts Options, files *cpp.FileTable) *cpp.Preprocessor {
 // the cheap, whole-program half of extraction: no file is read and no
 // token is produced here, so re-running it with mostly cached artifacts
 // is how an incremental update rebuilds the graph. files must be the
-// table the artifacts were built against.
-func Assemble(arts []*UnitArtifact, modules []Module, opts Options, files *cpp.FileTable) *Result {
+// table the artifacts were built against. nodes and edges reserve room
+// in the new graph (graph.NewSized), such as the size of the graph an
+// incremental re-assembly replaces; 0 reserves nothing. The result does
+// not depend on them.
+func Assemble(arts []*UnitArtifact, modules []Module, opts Options, files *cpp.FileTable, nodes, edges int) *Result {
 	if files == nil {
 		files = cpp.NewFileTable()
 	}
-	ex := newExtractor(opts)
+	ex := newExtractor(opts, graph.NewSized(nodes, edges))
 	ex.files = files
 	for _, a := range arts {
 		ex.errs = append(ex.errs, a.Diags...)
@@ -181,7 +184,7 @@ func Run(build Build, opts Options) (*Result, error) {
 			hard = append(hard, err)
 		}
 	}
-	res := Assemble(arts, build.Modules, opts, files)
+	res := Assemble(arts, build.Modules, opts, files, 0, 0)
 	res.Errors = append(hard, res.Errors...)
 	return res, nil
 }
@@ -284,10 +287,10 @@ type extractor struct {
 	tus []*tuData
 }
 
-func newExtractor(opts Options) *extractor {
+func newExtractor(opts Options, g *graph.Graph) *extractor {
 	return &extractor{
 		opts:        opts,
-		g:           graph.New(),
+		g:           g,
 		fileNode:    map[cpp.FileID]graph.NodeID{},
 		dirNode:     map[string]graph.NodeID{},
 		prim:        map[string]graph.NodeID{},

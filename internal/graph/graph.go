@@ -76,10 +76,20 @@ type Graph struct {
 }
 
 // New returns an empty graph with its auto-index attached.
-func New() *Graph {
-	g := &Graph{}
-	g.index = newIndex()
-	return g
+func New() *Graph { return NewSized(0, 0) }
+
+// NewSized is New with room reserved for the given node and edge
+// counts, so a builder that knows roughly how large the graph will be
+// (an incremental re-assembly of the graph it replaces) does not pay
+// for repeated slice growth. The hint is only a capacity.
+func NewSized(nodes, edges int) *Graph {
+	return &Graph{
+		nodes: make([]node, 0, nodes),
+		edges: make([]edge, 0, edges),
+		out:   make([][]EdgeID, 0, nodes),
+		in:    make([][]EdgeID, 0, nodes),
+		index: newIndex(),
+	}
 }
 
 // AddNode appends a node of the given type with the given properties and

@@ -8,9 +8,9 @@
 // immutable after publication), persisted alongside the store files
 // through the same crash-consistent atomicfile commit as the store
 // itself, and reloaded at open time so a server restart does not pay
-// the full-scan collection cost before its first planned query. A
-// snapshot swap that has no persisted statistics (live in-memory
-// updates) rebuilds them lazily on the first plan.
+// the full-scan collection cost before its first planned query. The
+// engine gives every snapshot it publishes its statistics before the
+// swap, so no reader collects after a swap.
 //
 // Every Stats value carries a process-local Generation number; the
 // query-plan cache keys compiled plans by it, so a snapshot swap that
@@ -81,10 +81,12 @@ func DegreeKey(nt model.NodeType, et model.EdgeType, out bool) string {
 	return string(nt) + "|" + string(et) + "|" + dir
 }
 
-// Collect computes statistics from a full scan of src: O(nodes + edges)
-// with one map entry per (node, edge type, direction) that occurs. The
-// scan is the same order of work as writing the store, so it is cheap
-// relative to index/update time.
+// Collect computes statistics from a full scan of src: O(nodes + edges),
+// walking each node's outgoing and incoming edges with a small
+// per-edge-type counter, so it allocates per (node type, edge type,
+// direction) combination rather than per node. The scan is the same
+// order of work as writing the store, so it is cheap relative to
+// index/update time.
 func Collect(src graph.Source) *Stats {
 	mStatsRebuilds.Inc()
 	st := &Stats{
@@ -95,53 +97,79 @@ func Collect(src graph.Source) *Stats {
 		EdgesByType: map[string]int64{},
 		Degrees:     map[string]*DegreeSummary{},
 	}
-	n := src.NodeCount()
-	types := make([]model.NodeType, n)
-	for id := graph.NodeID(0); id < graph.NodeID(n); id++ {
-		t := src.NodeType(id)
-		types[id] = t
-		st.NodesByType[string(t)]++
+	type sumKey struct {
+		nt  model.NodeType
+		et  model.EdgeType
+		out bool
 	}
-
-	// Per-node, per-edge-type degree tallies, aggregated into per-type
-	// summaries afterwards. The map is bounded by (touched nodes ×
-	// occurring edge types), not nodes × all types.
-	type degKey struct {
-		node graph.NodeID
-		et   model.EdgeType
-		out  bool
-	}
-	deg := map[degKey]int64{}
-	e := src.EdgeCount()
-	for id := graph.EdgeID(0); id < graph.EdgeID(e); id++ {
-		from, to, t := src.EdgeEnds(id)
-		st.EdgesByType[string(t)]++
-		deg[degKey{from, t, true}]++
-		deg[degKey{to, t, false}]++
-	}
-	for k, d := range deg {
-		key := DegreeKey(types[k.node], k.et, k.out)
-		s := st.Degrees[key]
-		if s == nil {
-			s = &DegreeSummary{}
-			st.Degrees[key] = s
+	sums := map[sumKey]*DegreeSummary{}
+	var tally []edgeTally
+	for id := graph.NodeID(0); id < graph.NodeID(st.Nodes); id++ {
+		nt := src.NodeType(id)
+		st.NodesByType[string(nt)]++
+		for _, out := range [2]bool{true, false} {
+			edges := src.In(id)
+			if out {
+				edges = src.Out(id)
+			}
+			tally = countByType(src, edges, tally[:0])
+			for _, c := range tally {
+				k := sumKey{nt, c.et, out}
+				s := sums[k]
+				if s == nil {
+					s = &DegreeSummary{}
+					sums[k] = s
+				}
+				s.add(c.n)
+				if out {
+					st.EdgesByType[string(c.et)] += c.n
+				}
+			}
 		}
-		s.Nodes++
-		s.Edges += d
-		if d > s.Max {
-			s.Max = d
-		}
-		b := bucketOf(d)
-		for len(s.Buckets) <= b {
-			s.Buckets = append(s.Buckets, 0)
-		}
-		s.Buckets[b]++
 	}
-	for _, s := range st.Degrees {
+	for k, s := range sums {
 		s.P50 = s.percentile(0.50)
 		s.P90 = s.percentile(0.90)
+		st.Degrees[DegreeKey(k.nt, k.et, k.out)] = s
 	}
 	return st
+}
+
+// edgeTally counts one node's edges of one type in one direction.
+type edgeTally struct {
+	et model.EdgeType
+	n  int64
+}
+
+// countByType tallies edges by type into t. A node touches few edge
+// types, so a linear scan beats a map.
+func countByType(src graph.Source, edges []graph.EdgeID, t []edgeTally) []edgeTally {
+next:
+	for _, eid := range edges {
+		_, _, et := src.EdgeEnds(eid)
+		for i := range t {
+			if t[i].et == et {
+				t[i].n++
+				continue next
+			}
+		}
+		t = append(t, edgeTally{et, 1})
+	}
+	return t
+}
+
+// add folds one node's degree d (>= 1) into the summary.
+func (s *DegreeSummary) add(d int64) {
+	s.Nodes++
+	s.Edges += d
+	if d > s.Max {
+		s.Max = d
+	}
+	b := bucketOf(d)
+	for len(s.Buckets) <= b {
+		s.Buckets = append(s.Buckets, 0)
+	}
+	s.Buckets[b]++
 }
 
 // bucketOf maps a degree (>= 1) to its log2 histogram bucket.

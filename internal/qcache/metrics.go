@@ -17,7 +17,9 @@ var (
 	mEvictions = obs.Default.Counter("frappe_qcache_evictions_total",
 		"Result-cache entries evicted by the byte or entry budget.", nil)
 	mInvalidations = obs.Default.Counter("frappe_qcache_invalidations_total",
-		"Wholesale result-cache invalidations (snapshot swaps).", nil)
+		"Result-cache invalidations (snapshot swaps): whole, or every epoch but the new one.", nil)
+	mRefills = obs.Default.Counter("frappe_qcache_refills_total",
+		"Hot results re-executed against a new snapshot before it was published.", nil)
 	mBytes = obs.Default.Gauge("frappe_qcache_bytes",
 		"Estimated bytes held by cached query results.", nil)
 	mEntries = obs.Default.Gauge("frappe_qcache_entries",

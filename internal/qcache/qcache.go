@@ -25,11 +25,15 @@
 // cache itself: treat them as immutable. Every consumer in this
 // repository (formatting, JSON encoding, row counting) only reads.
 //
-// Invalidation is wholesale: the engine calls Invalidate on every
-// snapshot swap. Keys carry the epoch as well, so even an epoch-reusing
-// swap (or a racing insert from a query that started before the swap)
-// can never serve rows from a retired graph — inserts are generation-
-// checked and dropped if an invalidation happened mid-execution.
+// Invalidation follows snapshot swaps. Before a swap to a new epoch
+// the engine refills the cache: each result hit during the outgoing
+// epoch (Hot) is re-executed against the incoming snapshot and stored
+// under the new epoch (Refill); after the swap, Retain drops every
+// other epoch's entries. A swap that reuses the epoch cannot tell old
+// entries from new ones by key, so it calls Invalidate and drops
+// everything. Either way the generation moves on, so an insert from a
+// query that started before the swap is dropped, and rows from a
+// retired graph are never served.
 package qcache
 
 import (
@@ -87,6 +91,7 @@ type Stats struct {
 	Shared         int64 `json:"shared"`
 	Evictions      int64 `json:"evictions"`
 	Invalidations  int64 `json:"invalidations"`
+	Refills        int64 `json:"refills"`
 	Bytes          int64 `json:"bytes"`
 	Entries        int64 `json:"entries"`
 	PlanHits       int64 `json:"planHits"`
@@ -113,6 +118,7 @@ type Cache struct {
 
 	hits, misses, shared         atomic.Int64
 	evictions, invalidations     atomic.Int64
+	refills                      atomic.Int64
 	planHits, planMisses         atomic.Int64
 	compiledHits, compiledMisses atomic.Int64
 }
@@ -362,19 +368,95 @@ func (c *Cache) insertLocked(k Key, res *query.Result) {
 }
 
 // Invalidate drops every cached result (plans survive: parsing does not
-// depend on the graph). The engine calls this on every snapshot swap,
-// and the generation bump makes in-flight leaders drop their inserts.
-func (c *Cache) Invalidate() {
+// depend on the graph). The engine calls this on a swap that reuses the
+// epoch, and the generation bump makes in-flight leaders drop their
+// inserts.
+func (c *Cache) Invalidate() { c.retain(func(Key) bool { return false }) }
+
+// Retain drops every cached result whose key is not at epoch, the
+// partial invalidation that follows a swap to a new epoch whose hot
+// entries were refilled. Like Invalidate it bumps the generation and
+// counts as an invalidation.
+func (c *Cache) Retain(epoch int64) { c.retain(func(k Key) bool { return k.Epoch == epoch }) }
+
+func (c *Cache) retain(keep func(Key) bool) {
 	c.mu.Lock()
 	c.gen++
-	c.results = map[Key]*list.Element{}
-	c.resList.Init()
-	c.bytes = 0
+	for e := c.resList.Front(); e != nil; {
+		next := e.Next()
+		if ent := e.Value.(*resultEntry); !keep(ent.key) {
+			c.resList.Remove(e)
+			delete(c.results, ent.key)
+			c.bytes -= ent.size
+		}
+		e = next
+	}
+	bytes, entries := c.bytes, int64(len(c.results))
 	c.mu.Unlock()
 	c.invalidations.Add(1)
 	mInvalidations.Inc()
-	mBytes.Set(0)
-	mEntries.Set(0)
+	mBytes.Set(bytes)
+	mEntries.Set(entries)
+}
+
+// Hot returns the keys of the results at epoch that were served from
+// the cache at least once since they were stored, most recently used
+// first: what a swap away from epoch re-executes to keep the cache
+// warm, in the order a refill with a deadline should spend it.
+func (c *Cache) Hot(epoch int64) []Key {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var keys []Key
+	for e := c.resList.Front(); e != nil; e = e.Next() {
+		if ent := e.Value.(*resultEntry); ent.key.Epoch == epoch && ent.hits > 0 {
+			keys = append(keys, ent.key)
+		}
+	}
+	return keys
+}
+
+// Refill executes keys in order ahead of any reader, as the engine does
+// for the Hot keys of the outgoing epoch (re-keyed to the new one)
+// against the snapshot it is about to publish, and stores the results.
+// Once ctx is done it executes no further key, so a refill given a
+// deadline leaves the rest to their first readers. The results are
+// stored last key first, so the first key ends up the most recently
+// used, as in Hot's order. Each execution counts a refill, never a miss,
+// so misses keep meaning reader requests that had to execute. A failed
+// execution (an error, or a panic out of exec, as in lead) is not
+// cached. Returns the number of keys executed.
+func (c *Cache) Refill(ctx context.Context, keys []Key, exec func(context.Context, Key) (*query.Result, error)) int {
+	results := make([]*query.Result, 0, len(keys))
+	for _, k := range keys {
+		if ctx.Err() != nil {
+			break
+		}
+		c.refills.Add(1)
+		mRefills.Inc()
+		results = append(results, refillOne(ctx, k, exec))
+	}
+	c.mu.Lock()
+	for i := len(results) - 1; i >= 0; i-- {
+		if results[i] != nil {
+			c.insertLocked(keys[i], results[i])
+		}
+	}
+	c.mu.Unlock()
+	return len(results)
+}
+
+// refillOne executes k, returning nil when it fails or panics.
+func refillOne(ctx context.Context, k Key, exec func(context.Context, Key) (*query.Result, error)) (res *query.Result) {
+	defer func() {
+		if recover() != nil {
+			res = nil
+		}
+	}()
+	res, err := exec(ctx, k)
+	if err != nil {
+		return nil
+	}
+	return res
 }
 
 // EntryHits reports how many times k has been served from the result
@@ -401,6 +483,7 @@ func (c *Cache) Stats() Stats {
 		Shared:         c.shared.Load(),
 		Evictions:      c.evictions.Load(),
 		Invalidations:  c.invalidations.Load(),
+		Refills:        c.refills.Load(),
 		Bytes:          bytes,
 		Entries:        entries,
 		PlanHits:       c.planHits.Load(),

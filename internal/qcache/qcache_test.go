@@ -438,3 +438,92 @@ func TestCompiledPlanUnparsedTextNotCached(t *testing.T) {
 		t.Fatalf("uncached path should rebuild, got %v", p)
 	}
 }
+
+// TestHotRefillRetain: Hot lists only the entries hit at the epoch
+// (most recent first), Refill stores under the new keys without
+// counting a miss and caches no failure, and Retain keeps only the new
+// epoch's entries.
+func TestHotRefillRetain(t *testing.T) {
+	c := New(Config{})
+	exec := func(v string) func() (*query.Result, error) {
+		return func() (*query.Result, error) { return fakeResult(1, v), nil }
+	}
+	for _, text := range []string{"a", "b", "cold"} {
+		if _, _, err := c.Do(context.Background(), key(1, text), exec(text)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, text := range []string{"b", "a"} { // a is now the most recent
+		if _, out, _ := c.Do(context.Background(), key(1, text), exec(text)); !out.Hit {
+			t.Fatalf("%s missed", text)
+		}
+	}
+	hot := c.Hot(1)
+	if len(hot) != 2 || hot[0].Text != "a" || hot[1].Text != "b" {
+		t.Fatalf("Hot(1) = %+v, want a then b", hot)
+	}
+	if got := c.Hot(2); len(got) != 0 {
+		t.Fatalf("Hot(2) = %+v, want none", got)
+	}
+
+	misses := c.Stats().Misses
+	keys := []Key{key(2, "a"), key(2, "b"), key(2, "cold"), key(2, "panics")}
+	n := c.Refill(context.Background(), keys, func(_ context.Context, k Key) (*query.Result, error) {
+		switch k.Text {
+		case "cold":
+			return nil, errors.New("boom")
+		case "panics":
+			panic("refill")
+		}
+		return fakeResult(1, k.Text+"'"), nil
+	})
+	st := c.Stats()
+	if n != 4 || st.Refills != 4 || st.Misses != misses {
+		t.Fatalf("executed %d, refills=%d misses=%d; want 4, 4 and misses still %d", n, st.Refills, st.Misses, misses)
+	}
+
+	c.Retain(2)
+	st = c.Stats()
+	if st.Entries != 2 || st.Invalidations != 1 {
+		t.Fatalf("after Retain(2): %d entries, %d invalidations; want 2 and 1", st.Entries, st.Invalidations)
+	}
+	res, out, err := c.Do(context.Background(), key(2, "a"), exec("unused"))
+	if err != nil || !out.Hit || res.Rows[0][0].Scalar.AsString() != "a'" {
+		t.Fatalf("refilled entry: hit=%v err=%v", out.Hit, err)
+	}
+	if _, out, _ := c.Do(context.Background(), key(1, "a"), exec("a")); out.Hit {
+		t.Fatal("Retain kept an entry of another epoch")
+	}
+	if got := c.Hot(2); len(got) != 1 || got[0].Text != "a" {
+		t.Fatalf("Hot(2) = %+v, want the one refilled entry read since", got)
+	}
+}
+
+// TestRefillStopsWhenDone: a refill whose context is done executes no
+// further key and caches only what finished, and the refilled entries
+// keep the order they were given in, first key most recently used.
+func TestRefillStopsWhenDone(t *testing.T) {
+	c := New(Config{MaxEntries: 2})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var ran []string
+	keys := []Key{key(1, "a"), key(1, "b"), key(1, "c"), key(1, "d")}
+	n := c.Refill(ctx, keys, func(_ context.Context, k Key) (*query.Result, error) {
+		ran = append(ran, k.Text)
+		if k.Text == "c" {
+			cancel() // the deadline passes during c
+		}
+		return fakeResult(1, k.Text), nil
+	})
+	if n != 3 || strings.Join(ran, "") != "abc" {
+		t.Fatalf("executed %d keys (%q), want a, b and c", n, ran)
+	}
+	// MaxEntries 2 evicts the least recently used of a, b, c: c.
+	miss := func() (*query.Result, error) { return fakeResult(1, "miss"), nil }
+	for _, text := range []string{"a", "b", "c", "d"} {
+		_, out, _ := c.Do(context.Background(), key(1, text), miss)
+		if want := text == "a" || text == "b"; out.Hit != want {
+			t.Fatalf("%s: hit=%v, want %v", text, out.Hit, want)
+		}
+	}
+}
