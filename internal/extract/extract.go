@@ -452,29 +452,29 @@ func (ex *extractor) fileContains(pos cpp.Pos, sym graph.NodeID) {
 	if !pos.IsValid() {
 		return
 	}
-	ex.g.AddEdge(ex.ensureFileNode(pos.File), sym, model.EdgeFileContains, graph.P(
-		model.PropNameFileID, int64(pos.File),
-		model.PropNameStartLine, int64(pos.Line),
-		model.PropNameStartCol, int64(pos.Col),
-	))
+	var loc graph.Loc
+	loc.Set(graph.LocNameFileID, int32(pos.File))
+	loc.Set(graph.LocNameStartLine, pos.Line)
+	loc.Set(graph.LocNameStartCol, pos.Col)
+	ex.g.AddEdgeLoc(ex.ensureFileNode(pos.File), sym, model.EdgeFileContains, loc)
 }
 
-// refProps builds the USE_*/NAME_* property set of a reference edge
+// refLoc builds the USE_*/NAME_* property set of a reference edge
 // (Table 2 of the paper): the whole expression range and the
 // representative token range.
-func refProps(use cpp.Range, name cpp.Range) graph.Props {
-	return graph.P(
-		model.PropUseFileID, int64(use.Start.File),
-		model.PropUseStartLine, int64(use.Start.Line),
-		model.PropUseStartCol, int64(use.Start.Col),
-		model.PropUseEndLine, int64(use.End.Line),
-		model.PropUseEndCol, int64(use.End.Col),
-		model.PropNameFileID, int64(name.Start.File),
-		model.PropNameStartLine, int64(name.Start.Line),
-		model.PropNameStartCol, int64(name.Start.Col),
-		model.PropNameEndLine, int64(name.End.Line),
-		model.PropNameEndCol, int64(name.End.Col),
-	)
+func refLoc(use cpp.Range, name cpp.Range) graph.Loc {
+	var loc graph.Loc
+	loc.Set(graph.LocUseFileID, int32(use.Start.File))
+	loc.Set(graph.LocUseStartLine, use.Start.Line)
+	loc.Set(graph.LocUseStartCol, use.Start.Col)
+	loc.Set(graph.LocUseEndLine, use.End.Line)
+	loc.Set(graph.LocUseEndCol, use.End.Col)
+	loc.Set(graph.LocNameFileID, int32(name.Start.File))
+	loc.Set(graph.LocNameStartLine, name.Start.Line)
+	loc.Set(graph.LocNameStartCol, name.Start.Col)
+	loc.Set(graph.LocNameEndLine, name.End.Line)
+	loc.Set(graph.LocNameEndCol, name.End.Col)
+	return loc
 }
 
 // buildDirectoryTree creates directory nodes and dir_contains edges for

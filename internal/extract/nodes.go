@@ -391,7 +391,7 @@ func (ex *extractor) registerMacrosAndIncludes(tu *tuData) {
 			continue
 		}
 		ex.includeSeen[key] = true
-		ex.g.AddEdge(ex.ensureFileNode(inc.From), ex.ensureFileNode(inc.To), model.EdgeIncludes, refProps(inc.Use, inc.Use))
+		ex.g.AddEdgeLoc(ex.ensureFileNode(inc.From), ex.ensureFileNode(inc.To), model.EdgeIncludes, refLoc(inc.Use, inc.Use))
 	}
 }
 

@@ -82,7 +82,7 @@ func (ex *extractor) walkMacroRecords(tu *tuData) {
 		if !found {
 			src = ex.ensureFileNode(use.Start.File)
 		}
-		ex.g.AddEdge(src, target, et, refProps(use, use))
+		ex.g.AddEdgeLoc(src, target, et, refLoc(use, use))
 	}
 	for _, e := range tu.pp.Expansions {
 		emit(e.Macro, e.Use, model.EdgeExpandsMacro)
@@ -152,7 +152,7 @@ func (w *walker) noteExtern(name string) {
 
 // ref emits a reference edge from the walker's source.
 func (w *walker) ref(et model.EdgeType, to graph.NodeID, use cpp.Range, name cpp.Range) {
-	w.ex.g.AddEdge(w.src, to, et, refProps(use, name))
+	w.ex.g.AddEdgeLoc(w.src, to, et, refLoc(use, name))
 }
 
 // --- statements ---
@@ -335,7 +335,7 @@ func (w *walker) walkExpr(e cparse.Expr, ctx refCtx) {
 		w.walkExpr(t.T, ctxRead)
 		w.walkExpr(t.F, ctxRead)
 	case *cparse.CastExpr:
-		w.ex.g.AddEdge(w.src, w.ex.typeNodeOf(t.Type), model.EdgeCastsTo, refProps(t.Span(), t.Span()))
+		w.ex.g.AddEdgeLoc(w.src, w.ex.typeNodeOf(t.Type), model.EdgeCastsTo, refLoc(t.Span(), t.Span()))
 		if il, ok := t.X.(*cparse.InitList); ok {
 			w.walkInit(t.Type, il)
 		} else {
@@ -353,7 +353,7 @@ func (w *walker) walkExpr(e cparse.Expr, ctx refCtx) {
 			// for its subexpressions.
 		}
 		if typ != nil {
-			w.ex.g.AddEdge(w.src, w.ex.typeNodeOf(typ), et, refProps(t.Span(), t.Span()))
+			w.ex.g.AddEdgeLoc(w.src, w.ex.typeNodeOf(typ), et, refLoc(t.Span(), t.Span()))
 		}
 	case *cparse.CommaExpr:
 		w.walkExpr(t.L, ctxRead)

@@ -58,11 +58,13 @@ type node struct {
 	props Props
 }
 
-// edge is the internal edge record.
+// edge is the internal edge record. Positional properties live in loc,
+// every other property in props.
 type edge struct {
 	from, to NodeID
 	typ      model.EdgeType
 	props    Props
+	loc      Loc
 }
 
 // Graph is the mutable in-memory property graph built by the extractor
@@ -108,13 +110,23 @@ func (g *Graph) AddNode(typ model.NodeType, props Props) NodeID {
 // AddEdge appends a directed edge and returns its ID. Both endpoints must
 // already exist.
 func (g *Graph) AddEdge(from, to NodeID, typ model.EdgeType, props Props) EdgeID {
-	if from < 0 || int(from) >= len(g.nodes) || to < 0 || int(to) >= len(g.nodes) {
-		panic(fmt.Sprintf("graph.AddEdge: endpoint out of range (%d -> %d, %d nodes)", from, to, len(g.nodes)))
+	return g.addEdge(edge{from: from, to: to, typ: typ, props: props})
+}
+
+// AddEdgeLoc is AddEdge for an edge whose only properties are the
+// positional ones in loc.
+func (g *Graph) AddEdgeLoc(from, to NodeID, typ model.EdgeType, loc Loc) EdgeID {
+	return g.addEdge(edge{from: from, to: to, typ: typ, loc: loc})
+}
+
+func (g *Graph) addEdge(e edge) EdgeID {
+	if e.from < 0 || int(e.from) >= len(g.nodes) || e.to < 0 || int(e.to) >= len(g.nodes) {
+		panic(fmt.Sprintf("graph.AddEdge: endpoint out of range (%d -> %d, %d nodes)", e.from, e.to, len(g.nodes)))
 	}
 	id := EdgeID(len(g.edges))
-	g.edges = append(g.edges, edge{from: from, to: to, typ: typ, props: props})
-	g.out[from] = append(g.out[from], id)
-	g.in[to] = append(g.in[to], id)
+	g.edges = append(g.edges, e)
+	g.out[e.from] = append(g.out[e.from], id)
+	g.in[e.to] = append(g.in[e.to], id)
 	return id
 }
 
@@ -179,11 +191,32 @@ func (g *Graph) EdgeProp(id EdgeID, key string) (Value, bool) {
 	if eqFold(key, model.PropType) {
 		return Str(string(g.edges[id].typ)), true
 	}
-	return g.edges[id].props.Get(key)
+	e := &g.edges[id]
+	if v, ok := e.loc.prop(key); ok {
+		return v, true
+	}
+	return e.props.Get(key)
 }
 
-// EdgeProps implements Source.
-func (g *Graph) EdgeProps(id EdgeID) Props { return g.edges[id].props }
+// EdgeProps implements Source. The positional properties come first,
+// in LocKey order, then the others; an edge without a Loc returns its
+// property list itself, with no copy.
+func (g *Graph) EdgeProps(id EdgeID) Props {
+	e := &g.edges[id]
+	if e.loc.Empty() {
+		return e.props
+	}
+	ps := make(Props, 0, e.loc.count()+len(e.props))
+	return append(e.loc.appendProps(ps), e.props...)
+}
+
+// EdgeLoc returns an edge's positional properties and, apart, its
+// other properties: what EdgeProps merges, for whole-graph passes that
+// handle a Loc without building a Props list.
+func (g *Graph) EdgeLoc(id EdgeID) (Loc, Props) {
+	e := &g.edges[id]
+	return e.loc, e.props
+}
 
 // Out implements Source.
 func (g *Graph) Out(id NodeID) []EdgeID { return g.out[id] }

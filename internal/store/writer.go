@@ -69,6 +69,15 @@ type writer struct {
 
 	propW    *bufio.Writer
 	propNext int64
+
+	// locKeyIDs caches the key ID of each positional key, assigned on
+	// first use like any other key so the key table keeps its order.
+	locKeyIDs [graph.NumLocKeys]uint16
+	locKeySet uint16
+	// Record buffers, owned here so no call allocates one.
+	props   []byte
+	nodeRec [nodeRecordSize]byte
+	relRec  [relRecordSize]byte
 }
 
 func (w *writer) run() (err error) {
@@ -167,44 +176,58 @@ func (w *writer) internString(s string) (int64, error) {
 	return off, nil
 }
 
-// writeProps appends one property record per prop and returns the byte
-// offset of the first record.
-func (w *writer) writeProps(ps graph.Props) (off int64, count uint32, err error) {
-	off = w.propNext
-	var rec [propRecordSize]byte
+// locKeyID is keyID for a positional key.
+func (w *writer) locKeyID(k graph.LocKey) uint16 {
+	if w.locKeySet&(1<<k) == 0 {
+		w.locKeyIDs[k] = w.keyID(graph.LocKeys[k])
+		w.locKeySet |= 1 << k
+	}
+	return w.locKeyIDs[k]
+}
+
+func appendPropRecord(b []byte, key uint16, kind byte, aux uint32, payload uint64) []byte {
+	b = binary.LittleEndian.AppendUint16(b, key)
+	b = append(b, kind, 0)
+	b = binary.LittleEndian.AppendUint32(b, aux)
+	return binary.LittleEndian.AppendUint64(b, payload)
+}
+
+// writeProps appends one property record per property, loc's first and
+// in the order EdgeProps lists them, and returns the byte offset of the
+// first record.
+func (w *writer) writeProps(loc graph.Loc, ps graph.Props) (off int64, count uint32, err error) {
+	b := w.props[:0]
+	if !loc.Empty() {
+		for k := graph.LocKey(0); k < graph.NumLocKeys; k++ {
+			if v, ok := loc.Get(k); ok {
+				b = appendPropRecord(b, w.locKeyID(k), propKindInt, 0, uint64(int64(v)))
+			}
+		}
+	}
 	for _, p := range ps {
-		binary.LittleEndian.PutUint16(rec[0:2], w.keyID(p.Key))
-		rec[3] = 0
-		var aux uint32
-		var payload uint64
 		switch p.Val.Kind() {
 		case graph.KindInt:
-			rec[2] = propKindInt
-			payload = uint64(p.Val.AsInt())
+			b = appendPropRecord(b, w.keyID(p.Key), propKindInt, 0, uint64(p.Val.AsInt()))
 		case graph.KindBool:
-			rec[2] = propKindBool
-			payload = uint64(p.Val.AsInt())
+			b = appendPropRecord(b, w.keyID(p.Key), propKindBool, 0, uint64(p.Val.AsInt()))
 		case graph.KindString:
-			rec[2] = propKindString
 			s := p.Val.AsString()
 			so, err := w.internString(s)
 			if err != nil {
 				return 0, 0, err
 			}
-			aux = uint32(len(s))
-			payload = uint64(so)
+			b = appendPropRecord(b, w.keyID(p.Key), propKindString, uint32(len(s)), uint64(so))
 		default:
-			continue // nil properties are not stored
+			// nil properties are not stored
 		}
-		binary.LittleEndian.PutUint32(rec[4:8], aux)
-		binary.LittleEndian.PutUint64(rec[8:16], payload)
-		if _, err := w.propW.Write(rec[:]); err != nil {
-			return 0, 0, err
-		}
-		w.propNext += propRecordSize
-		count++
 	}
-	return off, count, nil
+	w.props = b
+	if _, err := w.propW.Write(b); err != nil {
+		return 0, 0, err
+	}
+	off = w.propNext
+	w.propNext += int64(len(b))
+	return off, uint32(len(b) / propRecordSize), nil
 }
 
 func (w *writer) writeNodes() error {
@@ -214,10 +237,10 @@ func (w *writer) writeNodes() error {
 	}
 	defer f.Close()
 	bw := bufio.NewWriter(f)
-	var rec [nodeRecordSize]byte
+	rec := w.nodeRec[:]
 	n := w.g.NodeCount()
 	for id := graph.NodeID(0); id < graph.NodeID(n); id++ {
-		off, cnt, err := w.writeProps(w.g.NodeProps(id))
+		off, cnt, err := w.writeProps(graph.Loc{}, w.g.NodeProps(id))
 		if err != nil {
 			return err
 		}
@@ -227,7 +250,7 @@ func (w *writer) writeNodes() error {
 		binary.LittleEndian.PutUint64(rec[8:16], uint64(off))
 		binary.LittleEndian.PutUint64(rec[16:24], chainHead(w.g.Out(id)))
 		binary.LittleEndian.PutUint64(rec[24:32], chainHead(w.g.In(id)))
-		if _, err := bw.Write(rec[:]); err != nil {
+		if _, err := bw.Write(rec); err != nil {
 			return err
 		}
 	}
@@ -265,10 +288,10 @@ func (w *writer) writeRels() error {
 	}
 	defer f.Close()
 	bw := bufio.NewWriter(f)
-	var rec [relRecordSize]byte
+	rec := w.relRec[:]
 	for id := graph.EdgeID(0); id < graph.EdgeID(e); id++ {
 		from, to, typ := w.g.EdgeEnds(id)
-		off, cnt, err := w.writeProps(w.g.EdgeProps(id))
+		off, cnt, err := w.writeProps(w.g.EdgeLoc(id))
 		if err != nil {
 			return err
 		}
@@ -280,7 +303,7 @@ func (w *writer) writeRels() error {
 		binary.LittleEndian.PutUint64(rec[24:32], uint64(off))
 		binary.LittleEndian.PutUint64(rec[32:40], nextOut[id])
 		binary.LittleEndian.PutUint64(rec[40:48], nextIn[id])
-		if _, err := bw.Write(rec[:]); err != nil {
+		if _, err := bw.Write(rec); err != nil {
 			return err
 		}
 	}
