@@ -347,7 +347,7 @@ func (b *bench) table5() error {
 	// Comprehension via Cypher: expected to blow up; abort at -timeout.
 	// The engine's query path now runs through the cost-based planner,
 	// which rewrites this closure to a visited-set traversal, so the
-	// naive baseline calls the tree-walk interpreter directly.
+	// naive baseline runs the executor without planner hints.
 	b.disk.DropCaches()
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	start := time.Now()
@@ -390,7 +390,7 @@ func (b *bench) table5() error {
 }
 
 // planner is the PR-7 acceptance measurement: the Figure-6 closure
-// naive vs planned. The naive interpreter enumerates simple paths and
+// naive vs planned. The naive run enumerates simple paths and
 // blows its step budget on any graph with real fan-out; the planner
 // rewrites the same query to a visited-set traversal and answers in
 // milliseconds. Neither path touches the query-result cache.
@@ -870,7 +870,7 @@ type smokeResult struct {
 		HitRatio   float64 `json:"hit_ratio"`
 	} `json:"qcache"`
 	// Planner is the PR-7 subject: the Figure-6 comprehension closure
-	// through the naive tree-walk interpreter vs the cost-based
+	// run naively (no planner hints) vs the cost-based
 	// planner's visited-set rewrite, both uncached. When the naive run
 	// aborts on its step budget, speedup is a lower bound.
 	Planner struct {

@@ -533,9 +533,8 @@ func (e *Engine) GraphStats() *gstats.Stats { return e.Snapshot().GraphStats() }
 // Query parses, plans, and runs a Cypher query against the snapshot's
 // graph. Planning consults the snapshot's statistics for anchor and
 // expansion-order choices and applies the closure rewrite where legal;
-// plan.Execute falls back to the interpreter for clause shapes the
-// compiled runner does not handle, so every query accepted before
-// planning existed still runs.
+// a clause shape the planner does not handle runs without hints, like
+// a naive run.
 func (e *Snapshot) Query(ctx context.Context, text string, limits query.Limits) (*query.Result, error) {
 	q, err := query.Parse(text)
 	if err != nil {
@@ -548,7 +547,7 @@ func (e *Snapshot) Query(ctx context.Context, text string, limits query.Limits) 
 }
 
 // planSpan records one "plan.compile" span under sp: which rewrites the
-// planner took, whether it fell back to the interpreter, and whether
+// planner took, whether it fell back to a hint-less run, and whether
 // the compiled plan came from the generation-keyed cache.
 func planSpan(sp *trace.Span, start time.Time, p *plan.Plan, cachedPlan bool) {
 	if sp == nil {

@@ -2,137 +2,32 @@ package plan
 
 import (
 	"context"
-	"time"
 
 	"frappe/internal/graph"
-	"frappe/internal/obs/trace"
 	"frappe/internal/query"
 )
 
 // Execute runs the compiled plan over src under resource budgets. Plans
-// are immutable and safe for concurrent Execute calls; each call gets
-// its own execution environment.
+// are immutable and safe for concurrent Execute calls; each call is its
+// own run of the executor.
 func (p *Plan) Execute(ctx context.Context, src graph.Source, lim query.Limits) (*query.Result, error) {
-	res, _, err := p.execute(ctx, src, lim, false)
-	return res, err
+	return query.ExecuteHints(ctx, src, p.Query, lim, p.Hints, true, nil)
 }
 
 // ExecuteProfile runs the plan with per-operator tracing; the returned
 // profile carries the EXPLAIN rendering in Profile.Plan and is non-nil
-// even when execution errors (partial traces survive budget aborts,
-// matching the interpreter).
+// even when execution errors (partial traces survive budget aborts).
 func (p *Plan) ExecuteProfile(ctx context.Context, src graph.Source, lim query.Limits) (*query.Result, *query.Profile, error) {
-	return p.execute(ctx, src, lim, true)
+	prof := &query.Profile{Plan: p.Explain()}
+	res, err := query.ExecuteHints(ctx, src, p.Query, lim, p.Hints, true, prof)
+	return res, prof, err
 }
 
-func (p *Plan) execute(ctx context.Context, src graph.Source, lim query.Limits, profile bool) (res *query.Result, prof *query.Profile, err error) {
-	if p.Fallback {
-		// Non-straight-line clause shapes run on the interpreter so
-		// error diagnostics stay identical; the plan only contributes
-		// its EXPLAIN text.
-		if profile {
-			res, prof, err = query.ExecuteProfileLimits(ctx, src, p.Query, lim)
-			if prof != nil {
-				prof.Plan = p.Explain()
-			}
-			return res, prof, err
-		}
-		res, err = query.ExecuteLimits(ctx, src, p.Query, lim)
-		return res, nil, err
-	}
-
-	start := time.Now()
-	env := query.NewEnv(ctx, src, lim, profile)
-	env.SetFastPredicates(true)
-	sp := trace.FromContext(ctx).Child("query.execute", trace.Bool("interpreter", false))
-	defer func() {
-		if r := recover(); r != nil {
-			err = query.AbortError(r)
-			res = nil
-		}
-		millis := float64(time.Since(start)) / float64(time.Millisecond)
-		query.RecordQueryMetrics(res, err, millis, env.Steps())
-		if pr := env.Profile(); pr != nil {
-			pr.Steps = env.Steps()
-			pr.Millis = millis
-			if res != nil {
-				pr.Rows = int64(len(res.Rows))
-			}
-			pr.Plan = p.Explain()
-			prof = pr
-		}
-		if sp != nil {
-			sp.SetAttr(trace.Int("steps", env.Steps()))
-			if res != nil {
-				sp.SetAttr(trace.Int("rows", int64(len(res.Rows))))
-			}
-			if err != nil {
-				sp.SetError(err)
-			}
-			sp.End()
-		}
-	}()
-
-	rows := env.InitialRows()
-	// instrument gates the per-clause clock: PROFILE and tracing share it.
-	instrument := profile || sp != nil
-	record := func(c query.Clause, stepsBefore int64, t0 time.Time, out int64) {
-		pr := env.Profile()
-		if pr == nil && sp == nil {
-			return
-		}
-		op, detail := query.OperatorInfo(c)
-		if sp != nil {
-			cs := sp.ChildSince("clause."+op, t0,
-				trace.Str("detail", detail),
-				trace.Int("rows", out),
-				trace.Int("dbHits", env.Steps()-stepsBefore))
-			cs.End()
-		}
-		if pr == nil {
-			return
-		}
-		pr.Ops = append(pr.Ops, query.OpProfile{
-			Operator: op,
-			Detail:   detail,
-			Rows:     out,
-			DBHits:   env.Steps() - stepsBefore,
-			Millis:   float64(time.Since(t0)) / float64(time.Millisecond),
-		})
-	}
-	for _, s := range p.steps {
-		stepsBefore := env.Steps()
-		var t0 time.Time
-		if instrument {
-			t0 = time.Now()
-		}
-		switch t := s.clause.(type) {
-		case *query.StartClause:
-			rows, err = env.Start(rows, t)
-		case *query.MatchClause:
-			rows, err = env.Match(rows, t, s.hints)
-		case *query.WhereClause:
-			rows, err = env.Where(rows, t)
-		case *query.WithClause:
-			rows, _, err = env.Project(rows, t.Items, t.Distinct, t.OrderBy, t.Skip, t.Limit)
-		}
-		record(s.clause, stepsBefore, t0, int64(len(rows)))
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-
-	stepsBefore := env.Steps()
-	var t0 time.Time
-	if instrument {
-		t0 = time.Now()
-	}
-	projected, cols, err := env.Project(rows, p.ret.Items, p.ret.Distinct, p.ret.OrderBy, p.ret.Skip, p.ret.Limit)
-	if err != nil {
-		record(p.ret, stepsBefore, t0, 0)
-		return nil, nil, err
-	}
-	res = env.BuildResult(projected, cols)
-	record(p.ret, stepsBefore, t0, int64(len(res.Rows)))
-	return res, nil, nil
+// Stream runs the compiled plan as a streaming execution: rows arrive
+// through the returned Stream's bounded channel instead of a
+// materialized Result, with every planner decision kept, including the
+// closure rewrite (its legality proof is about downstream multiplicity
+// invariance, which a streaming DISTINCT preserves).
+func (p *Plan) Stream(ctx context.Context, src graph.Source, lim query.Limits, depth int) *query.Stream {
+	return query.ExecuteStreamHints(ctx, src, p.Query, lim, p.Hints, true, depth)
 }

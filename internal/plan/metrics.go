@@ -10,7 +10,7 @@ var (
 	)
 	mFallbacks = obs.Default.Counter(
 		"frappe_plan_fallbacks_total",
-		"Compiled queries delegated wholesale to the tree-walk interpreter (non-straight-line clause shape).",
+		"Compiled queries run without planner hints (non-straight-line clause shape).",
 		nil,
 	)
 	// Buckets sized for plan construction: an AST walk plus map lookups,

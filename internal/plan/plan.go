@@ -20,11 +20,11 @@
 //     minutes of Cypher vs ~20 ms of embedded traversal" — applied
 //     inside the query engine itself.
 //
-// Compile produces an immutable Plan; executing it walks the same
-// clause primitives as the interpreter (query.Env), so planned and
-// naive execution share one semantics modulo the proven rewrites. Plans
-// are safe for concurrent execution and are cached by internal/qcache
-// keyed on (query text, statistics generation).
+// Compile produces an immutable Plan; executing it runs the one query
+// executor with the plan's hints, so planned and naive execution share
+// one semantics modulo the proven rewrites. Plans are safe for
+// concurrent execution and are cached by internal/qcache keyed on
+// (query text, statistics generation).
 package plan
 
 import (
@@ -33,7 +33,6 @@ import (
 	"strings"
 	"time"
 
-	"frappe/internal/graph"
 	"frappe/internal/gstats"
 	"frappe/internal/model"
 	"frappe/internal/query"
@@ -41,7 +40,7 @@ import (
 
 // Plan is one compiled query: the parsed clauses plus the planner's
 // per-clause decisions. A Plan is immutable after Compile; every
-// execution gets its own query.Env.
+// execution is its own run of the executor.
 type Plan struct {
 	Query *query.Query
 	// Generation is the statistics generation the cost decisions were
@@ -49,21 +48,17 @@ type Plan struct {
 	// discards plans whose generation is stale.
 	Generation int64
 	// Rewrites counts closure rewrites applied; Fallback is true when
-	// the clause shape forced delegation to the tree-walk interpreter.
+	// the clause shape is not straight-line: the query then runs
+	// without hints and fails with its shape error before any clause.
 	Rewrites int
 	Fallback bool
 	// Hints holds the per-pattern execution hints of each MATCH clause,
 	// in clause order (exported for tests and EXPLAIN).
 	Hints [][]query.PatternHint
 
-	steps []planStep
-	ret   *query.ReturnClause
-}
-
-type planStep struct {
-	clause query.Clause
-	hints  []query.PatternHint
-	notes  []string // planner annotations, rendered under the EXPLAIN line
+	// notes holds the planner's annotations per clause index, rendered
+	// under that clause's EXPLAIN line.
+	notes map[int][]string
 }
 
 // Compile plans a parsed query against a statistics snapshot. st may be
@@ -80,7 +75,7 @@ func Compile(q *query.Query, st *gstats.Stats) *Plan {
 		mPlanBuild.Observe(float64(time.Since(start)) / float64(time.Millisecond))
 	}()
 
-	if !compilable(q) {
+	if query.CheckShape(q) != nil {
 		p.Fallback = true
 		mFallbacks.Inc()
 		return p
@@ -90,13 +85,17 @@ func Compile(q *query.Query, st *gstats.Stats) *Plan {
 	for i, c := range q.Clauses {
 		switch t := c.(type) {
 		case *query.StartClause:
-			p.steps = append(p.steps, planStep{clause: t})
 			for _, it := range t.Items {
 				bound[it.Var] = true
 			}
 		case *query.MatchClause:
 			hints, notes := p.planMatch(q.Clauses[i+1:], t, bound, st)
-			p.steps = append(p.steps, planStep{clause: t, hints: hints, notes: notes})
+			if len(notes) > 0 {
+				if p.notes == nil {
+					p.notes = map[int][]string{}
+				}
+				p.notes[i] = notes
+			}
 			p.Hints = append(p.Hints, hints)
 			for _, pat := range t.Patterns {
 				for _, np := range pat.Nodes {
@@ -113,33 +112,12 @@ func Compile(q *query.Query, st *gstats.Stats) *Plan {
 					bound[pat.PathVar] = true
 				}
 			}
-		case *query.WhereClause:
-			p.steps = append(p.steps, planStep{clause: t})
 		case *query.WithClause:
-			p.steps = append(p.steps, planStep{clause: t})
 			bound = projectionVars(t.Items)
-		case *query.ReturnClause:
-			p.ret = t
 		}
 	}
 	mRewrites.Add(int64(p.Rewrites))
 	return p
-}
-
-// compilable reports whether the clause sequence is the straight-line
-// form the compiled runner handles: one RETURN, in final position.
-// Anything else (including the error cases the interpreter diagnoses,
-// like a missing RETURN) falls back so error messages stay identical.
-func compilable(q *query.Query) bool {
-	if len(q.Clauses) == 0 {
-		return false
-	}
-	for i, c := range q.Clauses {
-		if _, ok := c.(*query.ReturnClause); ok != (i == len(q.Clauses)-1) {
-			return false
-		}
-	}
-	return true
 }
 
 // projectionVars is the variable set visible after a WITH: its output
@@ -169,7 +147,7 @@ func (p *Plan) planMatch(rest []query.Clause, mc *query.MatchClause, bound map[s
 		// Closure rewrite: restricted to single-pattern, single-rel
 		// MATCH so the shared relationship-uniqueness set is provably
 		// empty when the expansion runs.
-		if len(mc.Patterns) == 1 && closureShape(pat) && dedupFollows(rest) {
+		if len(mc.Patterns) == 1 && query.ClosureShape(pat) && dedupFollows(rest) {
 			h.Closure = []bool{true}
 			p.Rewrites++
 			notes = append(notes, "closure rewrite: "+query.PatternText(pat)+
@@ -225,28 +203,6 @@ func boundAnchor(pat *query.Pattern, bound map[string]bool) int {
 		}
 	}
 	return -1
-}
-
-// closureShape reports whether a pattern is a candidate for the closure
-// rewrite: one variable-length relationship, minimum depth <= 1 (a
-// larger minimum constrains path length, which BFS shortest distance
-// cannot decide), and no relationship or path binding that would
-// observe individual paths. Undirected expansions are excluded unless
-// the minimum is zero: a BFS walk can re-reach the start node only by
-// reusing the edge it left on (s—x—s), which Cypher's relationship
-// uniqueness forbids, so the endpoint sets differ at exactly the start
-// node. Directed closed walks always contain a simple cycle through the
-// start, and a zero-hop minimum admits the start unconditionally, so
-// both of those remain exact.
-func closureShape(pat *query.Pattern) bool {
-	if pat.Shortest || pat.AllShortest || pat.PathVar != "" || len(pat.Rels) != 1 {
-		return false
-	}
-	rel := pat.Rels[0]
-	if !rel.VarLen || rel.MinHops > 1 || rel.Var != "" {
-		return false
-	}
-	return rel.ToRight || rel.ToLeft || rel.MinHops == 0
 }
 
 // dedupFollows proves the clauses after a MATCH are
@@ -365,10 +321,10 @@ func patternCost(pat *query.Pattern, a int, closure []bool, st *gstats.Stats) (f
 // mirroring the executor's actual strategy: indexed string property,
 // then concrete type label, then full scan.
 func seedCost(np *query.NodePattern, st *gstats.Stats) (cost, card float64, desc string) {
-	if key := indexedProp(np); key != "" {
-		return indexSeedCost, indexSeedCost, "index lookup " + key
+	if pm := query.IndexedProp(np); pm != nil {
+		return indexSeedCost, indexSeedCost, "index lookup " + pm.Key
 	}
-	if l := concreteLabel(np); l != "" {
+	if l := query.ConcreteLabel(np); l != "" {
 		n := float64(st.NodesByType[l])
 		return n, n, "label scan :" + l
 	}
@@ -376,40 +332,12 @@ func seedCost(np *query.NodePattern, st *gstats.Stats) (cost, card float64, desc
 	return n, n, "full scan"
 }
 
-// indexedProp returns the first string-valued property key the
-// auto-index serves (matching the executor's scanCandidates), or "".
-func indexedProp(np *query.NodePattern) string {
-	for _, pm := range np.Props {
-		if pm.Val.Kind() != graph.KindString {
-			continue
-		}
-		switch strings.ToUpper(pm.Key) {
-		case model.PropShortName, model.PropName, model.PropLongName, model.PropType:
-			return pm.Key
-		}
-	}
-	return ""
-}
-
-// concreteLabel returns the first label that is a concrete node type
-// (servable by a TYPE lookup), or "".
-func concreteLabel(np *query.NodePattern) string {
-	for _, l := range np.Labels {
-		for _, t := range model.AllNodeTypes {
-			if string(t) == l {
-				return l
-			}
-		}
-	}
-	return ""
-}
-
 // nodeSelectivity estimates the fraction of expansion targets that
 // survive the target pattern's label/property filters.
 func nodeSelectivity(np *query.NodePattern, st *gstats.Stats) float64 {
 	s := 1.0
 	if st.Nodes > 0 {
-		if l := concreteLabel(np); l != "" {
+		if l := query.ConcreteLabel(np); l != "" {
 			s *= math.Max(float64(st.NodesByType[l])/float64(st.Nodes), 1.0/float64(st.Nodes))
 		}
 	}
@@ -435,7 +363,7 @@ func hopFanout(rel *query.RelPattern, known *query.NodePattern, forward bool, st
 	default:
 		outgoing, incoming = true, true
 	}
-	fromType := concreteLabel(known)
+	fromType := query.ConcreteLabel(known)
 	dir := func(out bool) float64 {
 		if len(rel.Types) == 0 {
 			if st.Nodes == 0 {
@@ -500,23 +428,12 @@ func (p *Plan) Explain() string {
 		sb.WriteString(", interpreter fallback")
 	}
 	sb.WriteString(")\n")
-	if p.Fallback {
-		for _, c := range p.Query.Clauses {
-			op, detail := query.OperatorInfo(c)
-			fmt.Fprintf(&sb, "  %-14s %s\n", op, detail)
-		}
-		return sb.String()
-	}
-	for _, s := range p.steps {
-		op, detail := query.OperatorInfo(s.clause)
+	for i, c := range p.Query.Clauses {
+		op, detail := query.OperatorInfo(c)
 		fmt.Fprintf(&sb, "  %-14s %s\n", op, detail)
-		for _, n := range s.notes {
+		for _, n := range p.notes[i] {
 			fmt.Fprintf(&sb, "  %-14s ^ %s\n", "", n)
 		}
-	}
-	if p.ret != nil {
-		op, detail := query.OperatorInfo(p.ret)
-		fmt.Fprintf(&sb, "  %-14s %s\n", op, detail)
 	}
 	return sb.String()
 }

@@ -214,6 +214,10 @@ func (e *CallExpr) Text() string {
 func (e *PatternExpr) Text() string { return "<pattern>" }
 func (e *HasExpr) Text() string     { return "has(" + e.Base.Text() + "." + e.Key + ")" }
 
+// IsAggregate reports whether an expression contains an aggregate call
+// (exported for the planner's multiplicity-invariance analysis).
+func IsAggregate(e Expr) bool { return isAggregate(e) }
+
 // isAggregate reports whether the expression contains an aggregating call.
 func isAggregate(e Expr) bool {
 	switch t := e.(type) {

@@ -2,14 +2,13 @@ package query
 
 import (
 	"context"
-	"fmt"
+	"errors"
 	"sort"
 	"strings"
 	"time"
 
 	"frappe/internal/graph"
 	"frappe/internal/model"
-	"frappe/internal/obs/trace"
 	"frappe/internal/traversal"
 )
 
@@ -29,59 +28,35 @@ func Execute(ctx context.Context, src graph.Source, q *Query) (*Result, error) {
 	return ExecuteLimits(ctx, src, q, Limits{})
 }
 
-// ExecuteLimits runs a parsed query under resource budgets. A panic
-// anywhere below (including typed corruption panics from a disk-backed
-// source) is recovered into the returned error, so one bad query or one
-// bad disk page cannot take down a serving process.
+// ExecuteLimits runs a parsed query naively under resource budgets and
+// collects its rows into a Result. Panics below, such as a disk store's
+// typed corruption panics, come back as the returned error.
 func ExecuteLimits(ctx context.Context, src graph.Source, q *Query, lim Limits) (*Result, error) {
-	res, _, err := executeLimits(ctx, src, q, lim, false)
-	return res, err
+	return ExecuteHints(ctx, src, q, lim, nil, false, nil)
 }
 
-// executeLimits is the shared runner behind ExecuteLimits and
-// ExecuteProfileLimits: panic recovery, metrics, optional tracing.
-func executeLimits(ctx context.Context, src graph.Source, q *Query, lim Limits, profile bool) (res *Result, prof *Profile, err error) {
-	start := time.Now()
-	ex := &exec{src: src, ctx: ctx, limits: lim}
-	ex.span = trace.FromContext(ctx).Child("query.execute", trace.Bool("interpreter", true))
-	if profile {
-		ex.prof = &Profile{}
+// ExecuteHints is the materialized surface of ExecuteStreamFunc: it
+// collects the rows of one execution into a Result. The parameters are
+// ExecuteStreamFunc's; on failure the Result is nil and a non-nil prof
+// still holds the partial trace.
+func ExecuteHints(ctx context.Context, src graph.Source, q *Query, lim Limits, hints [][]PatternHint, fastPred bool, prof *Profile) (*Result, error) {
+	res := &Result{}
+	steps, err := ExecuteStreamFunc(ctx, src, q, lim, hints, fastPred, prof, res.setColumns, res.addRow)
+	if err != nil {
+		return nil, err
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			if e, ok := r.(error); ok {
-				err = fmt.Errorf("cypher: query aborted: %w", e)
-			} else {
-				err = fmt.Errorf("cypher: query aborted: %v", r)
-			}
-			res = nil
-		}
-		millis := float64(time.Since(start)) / float64(time.Millisecond)
-		recordQueryMetrics(res, err, millis, ex.steps)
-		if ex.prof != nil {
-			ex.prof.Steps = ex.steps
-			ex.prof.Millis = millis
-			if res != nil {
-				ex.prof.Rows = int64(len(res.Rows))
-			}
-			prof = ex.prof
-		}
-		if ex.span != nil {
-			ex.span.SetAttr(trace.Int("steps", ex.steps))
-			if res != nil {
-				ex.span.SetAttr(trace.Int("rows", int64(len(res.Rows))))
-			}
-			if err != nil {
-				ex.span.SetError(err)
-			}
-			ex.span.End()
-		}
-	}()
-	res, err = ex.run(q)
-	if res != nil {
-		res.Steps = ex.steps
-	}
-	return res, nil, err
+	res.Steps = steps
+	return res, nil
+}
+
+func (r *Result) setColumns(cols []string) error {
+	r.Columns = cols
+	return nil
+}
+
+func (r *Result) addRow(row []Val) error {
+	r.Rows = append(r.Rows, row)
+	return nil
 }
 
 // Run parses and executes a query text.
@@ -98,21 +73,33 @@ func RunLimits(ctx context.Context, src graph.Source, text string, lim Limits) (
 	return ExecuteLimits(ctx, src, q, lim)
 }
 
+// exec is one run's state: the source, budgets and step count the match
+// machinery charges, and the clause pipeline (pipeline.go).
 type exec struct {
 	src    graph.Source
 	ctx    context.Context
 	limits Limits
 	steps  int64
-	prof   *Profile // nil unless PROFILE requested; hot paths never touch it
-	// span is the executor's trace span (nil when the request is
-	// untraced); run() hangs per-clause child spans off it.
-	span *trace.Span
 	// fastPred enables the visited-set fast path for reachability-shaped
-	// WHERE pattern predicates. Only planned execution (internal/plan via
-	// Env) turns it on; the plain interpreter stays Cypher-naive so
-	// planned-vs-naive equivalence tests compare genuinely different
-	// execution strategies.
+	// WHERE pattern predicates. Only planned execution turns it on; naive
+	// runs stay Cypher-faithful so planned-vs-naive equivalence tests
+	// compare genuinely different execution strategies.
 	fastPred bool
+
+	stages []clauseState
+	sink   RowSink
+	// stopped is the last clause whose LIMIT has been satisfied (-1:
+	// none): no clause before it needs another row.
+	stopped int
+
+	// Per-clause accounting, kept only by PROFILE (count and clock) and
+	// traced (count) runs: the clause currently working, the step count
+	// and time at the last hand-off, and the clause an error came from.
+	count, clock bool
+	cur          int
+	mark         int64
+	markT        time.Time
+	failedAt     int
 }
 
 // tick periodically checks the context and enforces the step budget; it
@@ -131,92 +118,13 @@ func (ex *exec) tick() error {
 	return nil
 }
 
-// checkRows enforces the row budget at every point where rows are
-// materialised.
+// checkRows enforces the row budget at every point where a clause
+// produces a row.
 func (ex *exec) checkRows(n int) error {
 	if ex.limits.MaxRows > 0 && n > ex.limits.MaxRows {
 		return &BudgetError{What: "rows", Limit: int64(ex.limits.MaxRows)}
 	}
 	return nil
-}
-
-// Steps reports how many pattern expansions the last query performed.
-func (ex *exec) Steps() int64 { return ex.steps }
-
-func (ex *exec) run(q *Query) (*Result, error) {
-	rows := []Row{{}}
-	var result *Result
-	for i, c := range q.Clauses {
-		if result != nil {
-			return nil, ex.errf("RETURN must be the final clause")
-		}
-		var err error
-		stepsBefore := ex.steps
-		var clauseStart time.Time
-		if ex.prof != nil || ex.span != nil {
-			clauseStart = time.Now()
-		}
-		switch t := c.(type) {
-		case *StartClause:
-			rows, err = ex.applyStart(rows, t)
-		case *MatchClause:
-			rows, err = ex.applyMatch(rows, t)
-		case *WhereClause:
-			rows, err = ex.applyWhere(rows, t)
-		case *WithClause:
-			rows, _, err = ex.applyProjection(rows, t.Items, t.Distinct, t.OrderBy, t.Skip, t.Limit)
-		case *ReturnClause:
-			var cols []string
-			var projected []Row
-			projected, cols, err = ex.applyProjection(rows, t.Items, t.Distinct, t.OrderBy, t.Skip, t.Limit)
-			if err == nil {
-				result = &Result{Columns: cols}
-				for _, r := range projected {
-					vals := make([]Val, len(cols))
-					for j, c := range cols {
-						vals[j] = r[c]
-					}
-					result.Rows = append(result.Rows, vals)
-				}
-			}
-		}
-		if ex.prof != nil || ex.span != nil {
-			// Record the operator even when it errored: an aborted Match
-			// still shows which clause burned the budget.
-			op, detail := operatorInfo(c)
-			out := int64(len(rows))
-			if result != nil {
-				out = int64(len(result.Rows))
-			}
-			if ex.span != nil {
-				cs := ex.span.ChildSince("clause."+op, clauseStart,
-					trace.Str("detail", detail),
-					trace.Int("rows", out),
-					trace.Int("dbHits", ex.steps-stepsBefore))
-				if err != nil {
-					cs.SetError(err)
-				}
-				cs.End()
-			}
-			if ex.prof != nil {
-				ex.prof.Ops = append(ex.prof.Ops, OpProfile{
-					Operator: op,
-					Detail:   detail,
-					Rows:     out,
-					DBHits:   ex.steps - stepsBefore,
-					Millis:   float64(time.Since(clauseStart)) / float64(time.Millisecond),
-				})
-			}
-		}
-		if err != nil {
-			return nil, err
-		}
-		_ = i
-	}
-	if result == nil {
-		return nil, ex.errf("query has no RETURN clause")
-	}
-	return result, nil
 }
 
 // startItemIDs resolves one START item to its seed node IDs.
@@ -245,95 +153,9 @@ func (ex *exec) startItemIDs(item StartItem) ([]graph.NodeID, error) {
 	}
 }
 
-func (ex *exec) applyStart(rows []Row, sc *StartClause) ([]Row, error) {
-	for _, item := range sc.Items {
-		ids, err := ex.startItemIDs(item)
-		if err != nil {
-			return nil, err
-		}
-		var next []Row
-		for _, row := range rows {
-			for _, id := range ids {
-				if err := ex.checkRows(len(next) + 1); err != nil {
-					return nil, err
-				}
-				r := row.clone()
-				r[item.Var] = NodeVal(id)
-				next = append(next, r)
-			}
-		}
-		rows = next
-	}
-	return rows, nil
-}
-
-func (ex *exec) applyWhere(rows []Row, wc *WhereClause) ([]Row, error) {
-	var out []Row
-	for _, row := range rows {
-		v, err := ex.evalExpr(wc.Cond, row)
-		if err != nil {
-			return nil, err
-		}
-		if !v.IsNull() && v.Truthy() {
-			out = append(out, row)
-		}
-	}
-	return out, nil
-}
-
 // --- MATCH ---
 
 type edgeSet map[graph.EdgeID]bool
-
-func (ex *exec) applyMatch(rows []Row, mc *MatchClause) ([]Row, error) {
-	return ex.applyMatchHints(rows, mc, nil)
-}
-
-// applyMatchHints is applyMatch with optional planner hints, one per
-// pattern (nil or short slices mean "no hint": naive behaviour).
-func (ex *exec) applyMatchHints(rows []Row, mc *MatchClause, hints []PatternHint) ([]Row, error) {
-	var out []Row
-	for _, row := range rows {
-		matched := false
-		err := ex.matchPatterns(row, mc.Patterns, hints, edgeSet{}, func(r Row) error {
-			if err := ex.checkRows(len(out) + 1); err != nil {
-				return err
-			}
-			matched = true
-			out = append(out, r)
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		if !matched && mc.Optional {
-			r := row.clone()
-			for _, pat := range mc.Patterns {
-				for _, np := range pat.Nodes {
-					if np.Var != "" {
-						if _, ok := r[np.Var]; !ok {
-							r[np.Var] = nullVal
-						}
-					}
-				}
-				for _, rp := range pat.Rels {
-					if rp.Var != "" {
-						if _, ok := r[rp.Var]; !ok {
-							r[rp.Var] = nullVal
-						}
-					}
-				}
-				if pat.PathVar != "" {
-					if _, ok := r[pat.PathVar]; !ok {
-						r[pat.PathVar] = nullVal
-					}
-				}
-			}
-			out = append(out, r)
-		}
-	}
-	return out, nil
-}
 
 // matchPatterns matches the pattern list in order, sharing relationship
 // uniqueness across patterns of the same MATCH (Cypher semantics).
@@ -378,21 +200,10 @@ func (ex *exec) patternHolds(pat *Pattern, row Row) (bool, error) {
 // pattern is not of that shape and the enumerating fallback must
 // decide.
 func (ex *exec) reachabilityHolds(pat *Pattern, row Row) (ok, handled bool, err error) {
-	if pat.Shortest || pat.AllShortest || pat.PathVar != "" || len(pat.Rels) != 1 {
+	if !ClosureShape(pat) {
 		return false, false, nil
 	}
 	rel := pat.Rels[0]
-	if !rel.VarLen || rel.MinHops > 1 || rel.Var != "" {
-		return false, false, nil
-	}
-	// Undirected walks can re-reach the start node only by reusing an
-	// edge (s—x—s), which Cypher's relationship uniqueness forbids, so
-	// BFS would over-claim start-to-start reachability. Directed closed
-	// walks always contain a simple cycle through the start, and a
-	// zero-hop minimum admits the start unconditionally, so those stay.
-	if !rel.ToRight && !rel.ToLeft && rel.MinHops != 0 {
-		return false, false, nil
-	}
 	left, right := pat.Nodes[0], pat.Nodes[1]
 	leftID, leftBound, leftBad := boundNode(row, left)
 	rightID, rightBound, rightBad := boundNode(row, right)
@@ -442,26 +253,8 @@ func (ex *exec) reachabilityHolds(pat *Pattern, row Row) (ok, handled bool, err 
 		}
 	}
 
-	opts := traversal.Options{MaxDepth: rel.MaxHops, Types: relTypeSet(rel)}
-	switch {
-	case outgoing && incoming:
-		opts.Direction = traversal.Both
-	case outgoing:
-		opts.Direction = traversal.Out
-	default:
-		opts.Direction = traversal.In
-	}
 	var budgetErr error
-	opts.EdgeFilter = func(e graph.EdgeID) bool {
-		if budgetErr != nil {
-			return false
-		}
-		if err := ex.tick(); err != nil {
-			budgetErr = err
-			return false
-		}
-		return ex.relPropsMatch(rel, e)
-	}
+	opts := ex.closureOpts(rel, outgoing, incoming, &budgetErr)
 	pred := func(n graph.NodeID) bool { return ex.nodeMatches(targNP, n) }
 	if targBound {
 		pred = func(n graph.NodeID) bool { return n == targID }
@@ -474,6 +267,55 @@ func (ex *exec) reachabilityHolds(pat *Pattern, row Row) (ok, handled bool, err 
 		return false, true, err
 	}
 	return found, true, nil
+}
+
+// ClosureShape reports whether a pattern's endpoints can be decided by
+// a visited-set traversal instead of path enumeration: one
+// variable-length relationship, minimum depth <= 1 (a larger minimum
+// constrains path length, which BFS shortest distance cannot decide),
+// and no relationship or path binding that would observe individual
+// paths. Undirected expansions are excluded unless the minimum is zero:
+// a BFS walk can re-reach the start node only by reusing the edge it
+// left on (s—x—s), which Cypher's relationship uniqueness forbids, so
+// the endpoint sets differ at exactly the start node. Directed closed
+// walks always contain a simple cycle through the start, and a
+// zero-hop minimum admits the start unconditionally, so both of those
+// remain exact.
+func ClosureShape(pat *Pattern) bool {
+	if pat.Shortest || pat.AllShortest || pat.PathVar != "" || len(pat.Rels) != 1 {
+		return false
+	}
+	rel := pat.Rels[0]
+	if !rel.VarLen || rel.MinHops > 1 || rel.Var != "" {
+		return false
+	}
+	return rel.ToRight || rel.ToLeft || rel.MinHops == 0
+}
+
+// closureOpts lowers a variable-length relationship to visited-set
+// traversal options. The edge filter charges every edge to the step
+// budget and records the first budget error in *budgetErr.
+func (ex *exec) closureOpts(rel *RelPattern, outgoing, incoming bool, budgetErr *error) traversal.Options {
+	opts := traversal.Options{MaxDepth: rel.MaxHops, Types: relTypeSet(rel)}
+	switch {
+	case outgoing && incoming:
+		opts.Direction = traversal.Both
+	case outgoing:
+		opts.Direction = traversal.Out
+	default:
+		opts.Direction = traversal.In
+	}
+	opts.EdgeFilter = func(e graph.EdgeID) bool {
+		if *budgetErr != nil {
+			return false
+		}
+		if err := ex.tick(); err != nil {
+			*budgetErr = err
+			return false
+		}
+		return ex.relPropsMatch(rel, e)
+	}
+	return opts
 }
 
 // boundNode resolves a node pattern's variable in row: (id, true, false)
@@ -653,33 +495,14 @@ func (ex *exec) matchOne(row Row, pat *Pattern, hint *PatternHint, used edgeSet,
 		// to a pattern whose bindings or shared edge set would observe
 		// the difference.
 		if hint != nil && jb.relIdx < len(hint.Closure) && hint.Closure[jb.relIdx] &&
-			rel.Var == "" && pat.PathVar == "" && len(used) == 0 &&
-			(rel.ToRight || rel.ToLeft || rel.MinHops == 0) {
+			ClosureShape(pat) && len(used) == 0 {
 			if rel.MinHops == 0 {
 				if err := accept(nil, known, row); err != nil {
 					return err
 				}
 			}
-			opts := traversal.Options{MaxDepth: rel.MaxHops, Types: relTypeSet(rel)}
-			switch {
-			case outgoing && incoming:
-				opts.Direction = traversal.Both
-			case outgoing:
-				opts.Direction = traversal.Out
-			default:
-				opts.Direction = traversal.In
-			}
 			var budgetErr error
-			opts.EdgeFilter = func(e graph.EdgeID) bool {
-				if budgetErr != nil {
-					return false
-				}
-				if err := ex.tick(); err != nil {
-					budgetErr = err
-					return false
-				}
-				return ex.relPropsMatch(rel, e)
-			}
+			opts := ex.closureOpts(rel, outgoing, incoming, &budgetErr)
 			ids, err := traversal.TransitiveClosureCtx(ex.ctx, ex.src, known, opts)
 			if budgetErr != nil {
 				return budgetErr
@@ -816,14 +639,7 @@ func (ex *exec) matchShortest(row Row, pat *Pattern, emit func(Row) error) error
 		return err
 	}
 	rel := pat.Rels[0]
-	opts := traversal.Options{}
-	if len(rel.Types) > 0 {
-		ts := traversal.TypeSet{}
-		for _, t := range rel.Types {
-			ts[model.EdgeType(strings.ToLower(t))] = true
-		}
-		opts.Types = ts
-	}
+	opts := traversal.Options{Types: relTypeSet(rel)}
 	start, goal := from, to
 	switch {
 	case rel.ToRight:
@@ -961,18 +777,11 @@ func (ex *exec) nodeMatches(np *NodePattern, id graph.NodeID) bool {
 // available, full node scan otherwise (the planner behaviour that Cypher
 // 1.x exhibited, and the cost model behind ablation A4).
 func (ex *exec) scanCandidates(np *NodePattern) ([]graph.NodeID, error) {
-	for _, pm := range np.Props {
-		if pm.Val.Kind() != graph.KindString {
-			continue
-		}
-		if isIndexedPropKey(pm.Key) {
-			return ex.src.Lookup(pm.Key + ": \"" + pm.Val.AsString() + "\"")
-		}
+	if pm := IndexedProp(np); pm != nil {
+		return ex.src.Lookup(pm.Key + ": \"" + pm.Val.AsString() + "\"")
 	}
-	for _, l := range np.Labels {
-		if isConcreteNodeType(l) {
-			return ex.src.Lookup("TYPE: \"" + l + "\"")
-		}
+	if l := ConcreteLabel(np); l != "" {
+		return ex.src.Lookup("TYPE: \"" + l + "\"")
 	}
 	n := ex.src.NodeCount()
 	ids := make([]graph.NodeID, n)
@@ -982,21 +791,33 @@ func (ex *exec) scanCandidates(np *NodePattern) ([]graph.NodeID, error) {
 	return ids, nil
 }
 
-func isIndexedPropKey(key string) bool {
-	switch strings.ToUpper(key) {
-	case model.PropShortName, model.PropName, model.PropLongName, model.PropType:
-		return true
-	}
-	return false
-}
-
-func isConcreteNodeType(label string) bool {
-	for _, t := range model.AllNodeTypes {
-		if string(t) == label {
-			return true
+// IndexedProp returns the first string-valued property of np that the
+// auto-index serves, or nil. scanCandidates seeds from it, and the
+// planner's cost model prices that seed.
+func IndexedProp(np *NodePattern) *PropMatch {
+	for i, pm := range np.Props {
+		if pm.Val.Kind() != graph.KindString {
+			continue
+		}
+		switch strings.ToUpper(pm.Key) {
+		case model.PropShortName, model.PropName, model.PropLongName, model.PropType:
+			return &np.Props[i]
 		}
 	}
-	return false
+	return nil
+}
+
+// ConcreteLabel returns the first label of np that is a concrete node
+// type (servable by a TYPE lookup), or "".
+func ConcreteLabel(np *NodePattern) string {
+	for _, l := range np.Labels {
+		for _, t := range model.AllNodeTypes {
+			if string(t) == l {
+				return l
+			}
+		}
+	}
+	return ""
 }
 
 // --- projection ---
@@ -1024,9 +845,10 @@ func (ex *exec) applyProjection(rows []Row, items []ReturnItem, distinct bool, o
 		}
 		groups := make(map[string]*group)
 		var orderKeys []string
+		var groupVals []Val
 		for _, row := range rows {
-			var sb strings.Builder
 			keyVals := make(map[string]Val)
+			groupVals = groupVals[:0]
 			for i, it := range items {
 				if isAggregate(it.Expr) {
 					continue
@@ -1036,10 +858,9 @@ func (ex *exec) applyProjection(rows []Row, items []ReturnItem, distinct bool, o
 					return nil, nil, err
 				}
 				keyVals[cols[i]] = v
-				v.key(&sb)
-				sb.WriteByte('|')
+				groupVals = append(groupVals, v)
 			}
-			k := sb.String()
+			k := rowKey(groupVals)
 			grp, ok := groups[k]
 			if !ok {
 				grp = &group{keyVals: keyVals}
@@ -1086,13 +907,12 @@ func (ex *exec) applyProjection(rows []Row, items []ReturnItem, distinct bool, o
 	if distinct {
 		seen := make(map[string]bool)
 		var dedup []Row
+		vals := make([]Val, len(cols))
 		for _, r := range projected {
-			var sb strings.Builder
-			for _, c := range cols {
-				r[c].key(&sb)
-				sb.WriteByte('|')
+			for j, c := range cols {
+				vals[j] = r[c]
 			}
-			k := sb.String()
+			k := rowKey(vals)
 			if seen[k] {
 				continue
 			}
@@ -1147,6 +967,17 @@ func (ex *exec) applyProjection(rows []Row, items []ReturnItem, distinct bool, o
 	return projected, cols, nil
 }
 
+// rowKey renders the canonical DISTINCT / grouping key of a value
+// tuple.
+func rowKey(vals []Val) string {
+	var sb strings.Builder
+	for _, v := range vals {
+		v.key(&sb)
+		sb.WriteByte('|')
+	}
+	return sb.String()
+}
+
 func allAggregates(items []ReturnItem) bool {
 	for _, it := range items {
 		if !isAggregate(it.Expr) {
@@ -1167,20 +998,12 @@ func (ex *exec) evalOrderKey(e Expr, row Row, errOut *error) Val {
 	v, err := ex.evalExpr(e, row)
 	if err != nil {
 		var unknown *unknownVarError
-		if !errorsAs(err, &unknown) && *errOut == nil {
+		if !errors.As(err, &unknown) && *errOut == nil {
 			*errOut = err
 		}
 		return nullVal
 	}
 	return v
-}
-
-func errorsAs(err error, target **unknownVarError) bool {
-	u, ok := err.(*unknownVarError)
-	if ok {
-		*target = u
-	}
-	return ok
 }
 
 func (ex *exec) evalIntConst(e Expr) (int64, error) {

@@ -25,18 +25,10 @@ var (
 		"Query wall time in milliseconds.", nil, nil)
 )
 
-func recordQueryMetrics(res *Result, err error, millis float64, steps int64) {
-	var rows int64
-	if res != nil {
-		rows = int64(len(res.Rows))
-	}
-	recordStreamMetrics(rows, err, millis, steps)
-}
-
-// recordStreamMetrics is recordQueryMetrics for executions that never
-// materialize a Result: the row count is the number of rows emitted to
-// the sink.
-func recordStreamMetrics(rows int64, err error, millis float64, steps int64) {
+// recordQueryMetrics feeds one finished execution into the
+// frappe_query_* instruments; rows is the number of rows emitted to the
+// sink.
+func recordQueryMetrics(rows int64, err error, millis float64, steps int64) {
 	mQueries.Inc()
 	mStepsTotal.Add(steps)
 	mQueryDuration.Observe(millis)

@@ -19,7 +19,7 @@ type Profile struct {
 	Rows   int64       `json:"rows"`   // result rows produced
 	Millis float64     `json:"millis"` // total wall time
 	// Plan is the planner's EXPLAIN rendering (anchor choices, closure
-	// rewrites, fallbacks). Empty when the naive interpreter ran.
+	// rewrites, fallbacks). Empty for a naive run.
 	Plan string `json:"plan,omitempty"`
 }
 
@@ -87,25 +87,34 @@ func (p *Profile) Format() string {
 	return sb.String()
 }
 
-// ExecuteProfileLimits runs a parsed query with per-operator tracing.
-// The profile is returned even when the query errors (with the
-// operators completed so far), so aborted queries remain diagnosable —
-// the paper's Figure 6 blow-up is visible as a Match operator whose
-// dbHits hit the step budget.
-func ExecuteProfileLimits(ctx context.Context, src graph.Source, q *Query, lim Limits) (*Result, *Profile, error) {
-	return executeLimits(ctx, src, q, lim, true)
-}
-
 // RunProfile parses and executes a query text with per-operator tracing.
+// The profile is returned even when the query errors (with the
+// operators up to the failing one), so aborted queries remain
+// diagnosable: the paper's Figure 6 blow-up is visible as a Match
+// operator whose dbHits hit the step budget.
 func RunProfile(ctx context.Context, src graph.Source, text string, lim Limits) (*Result, *Profile, error) {
 	q, err := Parse(text)
 	if err != nil {
 		return nil, nil, err
 	}
-	return ExecuteProfileLimits(ctx, src, q, lim)
+	prof := &Profile{}
+	res, err := ExecuteHints(ctx, src, q, lim, nil, false, prof)
+	return res, prof, err
 }
 
 // --- clause rendering ---
+
+// OperatorInfo renders a clause as PROFILE's (operator, detail) pair;
+// EXPLAIN reuses it so plans and traces line up.
+func OperatorInfo(c Clause) (op, detail string) { return operatorInfo(c) }
+
+// PatternText renders a pattern the way PROFILE details do (exported
+// for EXPLAIN output).
+func PatternText(p *Pattern) string { return patternText(p) }
+
+// NodePatternText renders one node pattern (exported for EXPLAIN
+// output).
+func NodePatternText(n *NodePattern) string { return nodePatternText(n) }
 
 // operatorInfo names a clause and renders its shape for profile output.
 func operatorInfo(c Clause) (op, detail string) {

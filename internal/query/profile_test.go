@@ -152,3 +152,85 @@ func TestCountersAdvance(t *testing.T) {
 		t.Fatalf("steps %d -> %d", before.Steps, after.Steps)
 	}
 }
+
+// TestProfileBudgetAbortMidPipeline aborts figure 3 at every step
+// budget short of its full run, while rows are in flight through the
+// pipeline. Each partial profile stops before Return, its dbHits sum to
+// the steps taken, and it ends at a Match that carries hits.
+func TestProfileBudgetAbortMidPipeline(t *testing.T) {
+	f := buildFixture()
+	ctx := context.Background()
+	full, err := Run(ctx, f.g, figure3Query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for budget := int64(1); budget < full.Steps; budget++ {
+		_, prof, err := RunProfile(ctx, f.g, figure3Query, Limits{MaxSteps: budget})
+		if !errors.Is(err, ErrBudgetExceeded) {
+			t.Fatalf("budget %d: err = %v, want budget abort", budget, err)
+		}
+		if prof == nil || len(prof.Ops) == 0 || len(prof.Ops) >= 5 {
+			t.Fatalf("budget %d: want a partial profile, got %+v", budget, prof)
+		}
+		var hits int64
+		for _, op := range prof.Ops {
+			hits += op.DBHits
+		}
+		if hits != prof.Steps || prof.Steps != budget+1 {
+			t.Fatalf("budget %d: dbHits sum %d, profile steps %d, want %d", budget, hits, prof.Steps, budget+1)
+		}
+		last := prof.Ops[len(prof.Ops)-1]
+		if last.Operator != "Match" || last.DBHits == 0 {
+			t.Fatalf("budget %d: profile ends at %+v", budget, last)
+		}
+	}
+}
+
+// TestProfileBlockingWith: a blocking WITH stage (ORDER BY ... LIMIT)
+// mid-pipeline still gets one operator per clause, with the rows each
+// clause handed on.
+func TestProfileBlockingWith(t *testing.T) {
+	f := buildFixture()
+	const text = `
+MATCH (n:function)
+WITH n ORDER BY n.short_name LIMIT 3
+MATCH n -[:calls]-> m
+RETURN m.short_name`
+	res, prof, err := RunProfile(context.Background(), f.g, text, Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := make([]string, len(prof.Ops))
+	var hits int64
+	for i, op := range prof.Ops {
+		ops[i] = op.Operator
+		hits += op.DBHits
+	}
+	if got, want := strings.Join(ops, ","), "Match,With,Match,Return"; got != want {
+		t.Fatalf("operators = %s, want %s", got, want)
+	}
+	if hits != prof.Steps || prof.Steps != res.Steps {
+		t.Fatalf("dbHits sum %d, profile steps %d, result steps %d", hits, prof.Steps, res.Steps)
+	}
+	if prof.Ops[0].Rows != 12 || prof.Ops[1].Rows != 3 || prof.Ops[3].Rows != int64(len(res.Rows)) {
+		t.Fatalf("operator rows %+v for %d result rows", prof.Ops, len(res.Rows))
+	}
+}
+
+// TestProfileSetupErrorNamesClause: a SKIP that fails to evaluate on a
+// later clause is charged to that clause, not to the first one, so the
+// partial profile lists every clause up to the failing RETURN.
+func TestProfileSetupErrorNamesClause(t *testing.T) {
+	f := buildFixture()
+	_, prof, err := RunProfile(context.Background(), f.g, `MATCH (n:function) WITH n RETURN n SKIP 'x'`, Limits{})
+	if err == nil || !strings.Contains(err.Error(), "SKIP/LIMIT must be an integer") {
+		t.Fatalf("err = %v, want the SKIP evaluation error", err)
+	}
+	ops := make([]string, len(prof.Ops))
+	for i, op := range prof.Ops {
+		ops[i] = op.Operator
+	}
+	if got, want := strings.Join(ops, ","), "Match,With,Return"; got != want {
+		t.Fatalf("operators = %s, want %s", got, want)
+	}
+}

@@ -78,6 +78,28 @@ RETURN distinct k`, true},
 START n=node:node_auto_index('short_name: never_called_writer')
 OPTIONAL MATCH n -[:calls]-> m
 RETURN n, m`, true},
+		{"blocking_with_then_match", `
+MATCH (n:function)
+WITH n ORDER BY n.short_name DESC LIMIT 3
+MATCH n -[:calls]-> m
+RETURN n.short_name, m.short_name`, false},
+		{"count_over_no_rows", `MATCH (n:function{short_name: 'no_such_function'}) RETURN count(*)`, false},
+		{"order_by_within_max_rows", `MATCH (n:function) RETURN n.short_name AS s ORDER BY s`, false},
+		{"order_by_over_max_rows", `MATCH (n:function) RETURN n.short_name AS s ORDER BY s`, false},
+		{"return_not_final", `MATCH (n) RETURN count(n) MATCH (m) RETURN m`, false},
+		{"no_return", `MATCH (n:function) WITH n`, false},
+	}
+	// The fixture has 12 functions: one budget the ORDER BY stage's
+	// buffered input fits, one it exceeds.
+	limits := map[string]Limits{
+		"order_by_within_max_rows": {MaxRows: 12},
+		"order_by_over_max_rows":   {MaxRows: 11},
+	}
+	// The cases both runs must fail, with identical error text.
+	wantErr := map[string]bool{
+		"order_by_over_max_rows": true,
+		"return_not_final":       true,
+		"no_return":              true,
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -85,12 +107,19 @@ RETURN n, m`, true},
 			if got := Streamable(q); got != tc.pipelined {
 				t.Fatalf("Streamable = %v, want %v", got, tc.pipelined)
 			}
-			mat, err := ExecuteLimits(ctx, f.g, q, Limits{})
+			lim := limits[tc.name]
+			mat, err := oracle(ctx, f.g, q, lim)
+			st := ExecuteStream(ctx, f.g, q, lim, 3) // tiny depth: exercise backpressure
+			cols, rows, steps, werr := collectStream(t, ctx, st)
+			if wantErr[tc.name] {
+				if err == nil || werr == nil || werr.Error() != err.Error() {
+					t.Fatalf("streamed error %v, materialized %v", werr, err)
+				}
+				return
+			}
 			if err != nil {
 				t.Fatalf("materialized: %v", err)
 			}
-			st := ExecuteStream(ctx, f.g, q, Limits{}, 3) // tiny depth: exercise backpressure
-			cols, rows, steps, werr := collectStream(t, ctx, st)
 			if werr != nil {
 				t.Fatalf("streamed: %v", werr)
 			}
@@ -210,6 +239,49 @@ func TestReplayStream(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("row %d: %q vs %q", i, got[i], want[i])
+		}
+	}
+}
+
+// TestLimitStopsEnumeration: a satisfied LIMIT stops upstream work
+// right after its last row is handed on, and LIMIT 0 enumerates
+// nothing, in WITH and RETURN alike, on every surface. The rows are the
+// oracle's.
+func TestLimitStopsEnumeration(t *testing.T) {
+	f := buildFixture()
+	ctx := context.Background()
+	for _, tc := range []struct {
+		text  string
+		steps int64
+	}{
+		{`MATCH (n:function) RETURN n LIMIT 0`, 0},
+		{`MATCH (n:function) RETURN n LIMIT 1`, 1},
+		{`MATCH (n:function) WITH n LIMIT 0 RETURN n`, 0},
+		{`MATCH (n:function) WITH n LIMIT 1 RETURN n`, 1},
+		{`MATCH (n:function) WITH n LIMIT 0 RETURN count(*)`, 0},
+	} {
+		q := mustParseQ(t, tc.text)
+		want, err := oracle(ctx, f.g, q, Limits{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mat, err := ExecuteLimits(ctx, f.g, q, Limits{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, rows, steps, err := collectStream(t, ctx, ExecuteStream(ctx, f.g, q, Limits{}, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mat.Steps != tc.steps || steps != tc.steps {
+			t.Errorf("%s: steps materialized %d, streamed %d, want %d", tc.text, mat.Steps, steps, tc.steps)
+		}
+		w := strings.Join(renderRows(f.g, want.Rows), "\n")
+		if got := strings.Join(renderRows(f.g, mat.Rows), "\n"); got != w {
+			t.Errorf("%s: materialized rows %q, want %q", tc.text, got, w)
+		}
+		if got := strings.Join(renderRows(f.g, rows), "\n"); got != w {
+			t.Errorf("%s: streamed rows %q, want %q", tc.text, got, w)
 		}
 	}
 }

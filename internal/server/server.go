@@ -453,7 +453,7 @@ type statsResponse struct {
 	// serves without a cache).
 	QCache *qcache.Stats `json:"qcache,omitempty"`
 	// Planner is the query planner's counter snapshot (closure rewrites,
-	// interpreter fallbacks, statistics rebuilds).
+	// fallback plans, statistics rebuilds).
 	Planner plan.Counters `json:"planner"`
 	// GraphStats is the planner's per-snapshot statistics summary
 	// (absent when computing it would touch quarantined pages).

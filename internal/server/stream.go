@@ -74,8 +74,9 @@ type streamTerminal struct {
 	Steps  int64   `json:"steps"`
 	Millis float64 `json:"millis"`
 	Cached bool    `json:"cached,omitempty"`
-	// Streamed is false when the shape forced materialize-then-replay
-	// (ORDER BY, aggregation, cache hits).
+	// Streamed is false for a cache replay and for a query with a
+	// blocking stage (ORDER BY, aggregation), which holds that stage's
+	// input in memory.
 	Streamed bool   `json:"streamed"`
 	Error    string `json:"error,omitempty"`
 	Degraded bool   `json:"degraded,omitempty"`
