@@ -1,17 +1,17 @@
-// Benchmarks regenerating every table and figure of the paper's
-// evaluation (§5) plus the ablations of DESIGN.md. The absolute numbers
-// depend on this machine and on the synthetic-kernel scale; the shapes
-// are what reproduce the paper:
+// The paper's evaluation (§5) and the ablations of DESIGN.md as timed
+// benchmarks. paper_test.go asserts each experiment's shape on
+// deterministic quantities and logs its paper-style rows (`go test -run
+// Paper -v .`); the benches here time what those tests count:
 //
-//	Table 3  — BenchmarkTable3GraphMetrics        (node/edge counts, 1:8 density)
-//	Table 4  — BenchmarkTable4DatabaseSize        (store size breakdown)
+//	Table 3  — BenchmarkTable3GraphMetrics        (extraction pipeline)
+//	Table 4  — BenchmarkTable4DatabaseSize        (store persistence)
 //	Table 5  — BenchmarkTable5*                   (4 use-case queries, cold vs warm)
-//	Figure 7 — BenchmarkFigure7DegreeDistribution (heavy-tailed degrees)
+//	Figure 7 — BenchmarkFigure7DegreeDistribution (degree distribution)
 //	Table 6  — BenchmarkTable6LabelScan           (1.x index vs 2.x label syntax)
 //	A1..A5   — BenchmarkAblation*                 (design-choice ablations)
 //
-// cmd/frappe-bench prints the same experiments as paper-style tables
-// with the 10-run cold/warm min/avg/max protocol of Table 5.
+// The absolute numbers depend on the machine and on the synthetic-kernel
+// scale.
 package frappe
 
 import (
@@ -36,14 +36,14 @@ import (
 	"frappe/internal/traversal"
 )
 
-// benchEnv is the shared benchmark state: the default-scale synthetic
-// kernel, extracted once, persisted once, opened read-only.
+// benchEnv is the state the paper tests and the benchmarks share: the
+// default-scale synthetic kernel, extracted once, persisted once, opened
+// read-only. TestMain removes its store.
 type benchEnv struct {
-	workload *kernelgen.Workload
-	mem      *core.Engine
-	disk     *core.Engine
-	dir      string
-	fig4     string // Figure 4 query with this run's FILE_ID baked in
+	mem  *core.Engine
+	disk *core.Engine
+	dir  string
+	fig4 string // Figure 4 query with this run's FILE_ID baked in
 }
 
 var (
@@ -52,8 +52,17 @@ var (
 	envErr  error
 )
 
-func benchSetup(b *testing.B) *benchEnv {
-	b.Helper()
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if env != nil {
+		env.disk.Close()
+		os.RemoveAll(filepath.Dir(env.dir))
+	}
+	os.Exit(code)
+}
+
+func benchSetup(tb testing.TB) *benchEnv {
+	tb.Helper()
 	envOnce.Do(func() {
 		w := kernelgen.Generate(kernelgen.Default())
 		eng, errs, err := Index(w.Build, w.ExtractOptions())
@@ -65,7 +74,7 @@ func benchSetup(b *testing.B) *benchEnv {
 			envErr = fmt.Errorf("extraction errors: %v", errs[0])
 			return
 		}
-		dir, err := os.MkdirTemp("", "frappe-bench-")
+		dir, err := os.MkdirTemp("", "frappe-paper-")
 		if err != nil {
 			envErr = err
 			return
@@ -86,10 +95,9 @@ func benchSetup(b *testing.B) *benchEnv {
 			return
 		}
 		env = &benchEnv{
-			workload: w,
-			mem:      eng,
-			disk:     disk,
-			dir:      dbDir,
+			mem:  eng,
+			disk: disk,
+			dir:  dbDir,
 			fig4: fmt.Sprintf(`
 START n=node:node_auto_index('short_name: get_sectorsize')
 WHERE (n) <-[{NAME_FILE_ID: %d, NAME_START_LINE: 236, NAME_START_COL: 9}]- ()
@@ -97,7 +105,7 @@ RETURN n`, fid),
 		}
 	})
 	if envErr != nil {
-		b.Fatal(envErr)
+		tb.Fatal(envErr)
 	}
 	return env
 }
@@ -201,15 +209,17 @@ func BenchmarkTable5DebuggingCold(b *testing.B) { benchQuery(b, figure5Query, tr
 func BenchmarkTable5DebuggingWarm(b *testing.B) { benchQuery(b, figure5Query, false) }
 
 // BenchmarkTable5ComprehensionCypher runs Figure 6 the way the paper
-// did: through the Cypher engine, whose path-enumerating semantics blow
-// up; a deadline aborts it, reproducing "> 15 mins, aborted" in
-// miniature. The metric "aborted" is 1 when the deadline fired.
+// did: through the naive Cypher interpreter (the engine's planner would
+// rewrite the closure), whose path-enumerating semantics blow up; a
+// deadline aborts it, reproducing "> 15 mins, aborted" in miniature.
+// The metric "aborted" is 1 when the deadline fired.
 func BenchmarkTable5ComprehensionCypher(b *testing.B) {
 	e := benchSetup(b)
 	aborted := 0.0
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		_, err := e.disk.Query(ctx, figure6Query)
+		_, err := query.Run(ctx, e.disk.Source(), figure6Query)
 		cancel()
 		if err != nil {
 			aborted = 1
@@ -279,7 +289,8 @@ func BenchmarkTable6LabelScan(b *testing.B) {
 // --- Ablations ---
 
 // BenchmarkAblationClosureCypherVsEmbedded (A1): the same depth-bounded
-// closure through Cypher's path enumeration vs the embedded visited-set
+// closure through Cypher's path enumeration (the naive interpreter; the
+// engine's planner would rewrite it) vs the embedded visited-set
 // traversal.
 func BenchmarkAblationClosureCypherVsEmbedded(b *testing.B) {
 	e := benchSetup(b)
@@ -291,7 +302,7 @@ MATCH n -[:calls*..4]-> m
 RETURN distinct m`
 	b.Run("Cypher", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := e.mem.Query(ctx, bounded); err != nil {
+			if _, err := query.Run(ctx, e.mem.Source(), bounded); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -46,8 +46,8 @@ func Tiny() Config {
 
 // Default returns the benchmark-scale configuration. The resulting graph
 // preserves the paper's ~1:8 node:edge ratio and degree shape at a size
-// the full pipeline processes in seconds; frappe-bench -scale raises it
-// toward the paper's absolute counts.
+// the full pipeline processes in seconds; Scaled raises it toward the
+// paper's absolute counts.
 func Default() Config {
 	return Config{Seed: 2015, Subsystems: 24, FilesPerSubsystem: 10, FuncsPerFile: 12}
 }

@@ -310,7 +310,7 @@ type Series struct {
 }
 
 // Family is one gathered metric family, ready for exposition or
-// programmatic reads (frappe-bench records these into its JSON).
+// programmatic reads.
 type Family struct {
 	Name   string
 	Help   string
