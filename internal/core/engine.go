@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -359,13 +360,32 @@ func (e *Engine) UpdateWith(fn func(old graph.Source) (*graph.Graph, int64, *Upd
 	return true, nil
 }
 
-// Save persists an in-memory engine to dir (Neo4j-style store files).
+// Save persists an in-memory engine to dir (Neo4j-style store files)
+// with the snapshot's graph statistics in the same crash-consistent
+// commit, as an index or update commit stages them, so the store opens
+// with its planner statistics instead of scanning for them.
 func (e *Engine) Save(dir string) error {
 	s := e.Snapshot()
 	if s.g == nil {
 		return fmt.Errorf("core: engine is disk-backed; nothing to save")
 	}
-	return store.Write(dir, s.g)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	c, err := atomicfile.NewCommit(dir)
+	if err != nil {
+		return err
+	}
+	defer c.Abort()
+	if err := store.StageTo(c, s.g); err != nil {
+		return err
+	}
+	if st := s.GraphStats(); st != nil {
+		if err := gstats.Stage(c, st); err != nil {
+			return err
+		}
+	}
+	return c.Publish()
 }
 
 // Close releases resources for disk-backed engines, including stores

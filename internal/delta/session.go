@@ -28,9 +28,14 @@ import (
 // from. A Session is not safe for concurrent use; callers serialise
 // updates (core.Engine holds one update lock).
 type Session struct {
-	opts     extract.Options
-	files    *cpp.FileTable
-	arts     map[string]*extract.UnitArtifact
+	opts  extract.Options
+	files *cpp.FileTable
+	arts  map[string]*extract.UnitArtifact
+	// entries holds each artifact's encoded tucache entry. The entry is
+	// made once, when the frontend runs (or read back by Resume), and is
+	// what StageState writes; the artifact keeps no token stream, which
+	// nothing reads once the AST is parsed.
+	entries  map[string][]byte
 	manifest *Manifest
 	// failed records units whose last frontend attempt hard-failed, so
 	// subsequent assembles keep reporting the error exactly as a
@@ -57,6 +62,7 @@ func newSession(opts extract.Options) *Session {
 		opts:       opts,
 		files:      cpp.NewFileTable(),
 		arts:       map[string]*extract.UnitArtifact{},
+		entries:    map[string][]byte{},
 		failed:     map[string]error{},
 		forceDirty: map[string]bool{},
 		dirty:      map[string]bool{},
@@ -68,7 +74,9 @@ func newSession(opts extract.Options) *Session {
 // frontend fan-out), but retaining the state later Update calls need.
 func NewSession(build extract.Build, opts extract.Options) (*Session, *extract.Result, error) {
 	s := newSession(opts)
-	s.runFrontends(build.Units)
+	if err := s.runFrontends(build.Units); err != nil {
+		return nil, nil, err
+	}
 	res := s.assemble(build, nil)
 	s.manifest = buildManifest(build, s.arts, s.files, opts.FS, 0)
 	return s, res, nil
@@ -123,6 +131,7 @@ func (s *Session) Update(build extract.Build, old graph.Source) (*Update, error)
 	}
 	for _, src := range plan.RemovedUnits {
 		delete(s.arts, src)
+		delete(s.entries, src)
 		delete(s.failed, src)
 		delete(s.forceDirty, src)
 		delete(s.dirty, src)
@@ -141,7 +150,9 @@ func (s *Session) Update(build extract.Build, old graph.Source) (*Update, error)
 		delete(s.forceDirty, src)
 		units = append(units, u)
 	}
-	s.runFrontends(units)
+	if err := s.runFrontends(units); err != nil {
+		return nil, err
+	}
 	extracted := time.Now()
 	prev, prevSigs := s.last, s.lastSigs
 	res := s.assemble(build, old)
@@ -173,20 +184,29 @@ func (s *Session) Update(build extract.Build, old graph.Source) (*Update, error)
 // runFrontends sends units through the extraction frontend — fanned out
 // per the session's opts.Jobs, with the deterministic in-order merge of
 // extract.Frontends so FileIDs stay identical to a serial run — and
-// folds the outcomes into the session's artifact/failure maps. A failed
-// unit's stale artifact must not survive the attempt.
-func (s *Session) runFrontends(units []extract.CompileUnit) {
+// folds the outcomes into the session's artifact/failure maps. Each
+// new artifact is encoded as its tucache entry and then drops its token
+// stream. A failed unit's stale artifact must not survive the attempt.
+func (s *Session) runFrontends(units []extract.CompileUnit) error {
 	arts, errs := extract.Frontends(units, s.opts, s.files)
 	for i, u := range units {
 		s.dirty[u.Source] = true
 		if a := arts[i]; a != nil {
+			b, err := encodeArtifact(a)
+			if err != nil {
+				return err
+			}
+			a.PP.Tokens = nil
 			delete(s.failed, u.Source)
 			s.arts[u.Source] = a
+			s.entries[u.Source] = b
 			continue
 		}
 		delete(s.arts, u.Source)
+		delete(s.entries, u.Source)
 		s.failed[u.Source] = errs[u.Source]
 	}
+	return nil
 }
 
 // Assemble materialises the graph from the session's current artifacts
@@ -324,11 +344,7 @@ func (s *Session) StageState(c *atomicfile.Commit) error {
 		if !all && !s.dirty[src] {
 			continue
 		}
-		b, err := encodeArtifact(s.arts[src])
-		if err != nil {
-			return err
-		}
-		if err := c.WriteFile(path.Join(CacheDir, name), b); err != nil {
+		if err := c.WriteFile(path.Join(CacheDir, name), s.entries[src]); err != nil {
 			return err
 		}
 	}
@@ -406,7 +422,7 @@ func Resume(dir string, opts extract.Options) (*Session, error) {
 		s.files.Intern(p)
 	}
 	for _, tu := range m.TUs {
-		a, err := loadArtifact(filepath.Join(cache, cacheName(tu.Source)), tu.Source, opts)
+		a, b, err := loadArtifact(filepath.Join(cache, cacheName(tu.Source)), tu.Source, opts)
 		if err != nil {
 			// No cached frontend for this unit — either it hard-failed last
 			// time (never cached) or the entry is lost/corrupt. Force a
@@ -415,23 +431,25 @@ func Resume(dir string, opts extract.Options) (*Session, error) {
 			continue
 		}
 		s.arts[tu.Source] = a
+		s.entries[tu.Source] = b
 	}
 	return s, nil
 }
 
 // loadArtifact reads one tucache entry and rebuilds the artifact,
-// reparsing the AST from the cached token stream.
-func loadArtifact(path, source string, opts extract.Options) (*extract.UnitArtifact, error) {
+// reparsing the AST from the cached token stream, which the artifact
+// then drops. It returns the entry's bytes too.
+func loadArtifact(path, source string, opts extract.Options) (*extract.UnitArtifact, []byte, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var c cachedTU
 	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&c); err != nil {
-		return nil, fmt.Errorf("delta: decode %s: %w", path, err)
+		return nil, nil, fmt.Errorf("delta: decode %s: %w", path, err)
 	}
 	if c.Source != source {
-		return nil, fmt.Errorf("delta: cache entry %s is for %q, want %q", path, c.Source, source)
+		return nil, nil, fmt.Errorf("delta: cache entry %s is for %q, want %q", path, c.Source, source)
 	}
 	pp := &cpp.Result{
 		Tokens:         c.Tokens,
@@ -445,6 +463,7 @@ func loadArtifact(path, source string, opts extract.Options) (*extract.UnitArtif
 		pp.Errors = append(pp.Errors, errors.New(d))
 	}
 	ast := cparse.Parse(pp.Tokens, opts.Typedefs)
+	pp.Tokens = nil
 	var diags []error
 	diags = append(diags, pp.Errors...)
 	diags = append(diags, ast.Errors...)
@@ -454,5 +473,5 @@ func loadArtifact(path, source string, opts extract.Options) (*extract.UnitArtif
 		PP:       pp,
 		AST:      ast,
 		Diags:    diags,
-	}, nil
+	}, b, nil
 }

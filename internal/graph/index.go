@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -146,8 +147,10 @@ func (ix *Index) Lookup(query string) ([]NodeID, error) {
 type IndexTermSource interface {
 	// Exact returns a fresh sorted slice of node IDs for an exact term.
 	Exact(key, value string) []NodeID
-	// ScanKey visits every (value, ids) pair indexed under key.
-	ScanKey(key string, fn func(value string, ids []NodeID))
+	// Prefix appends to dst the posting lists of every term under key
+	// whose value starts with prefix and, when keep is non-nil, passes
+	// keep. The result is unsorted and may hold duplicates.
+	Prefix(dst []NodeID, key, prefix string, keep func(value string) bool) []NodeID
 }
 
 // Exact implements IndexTermSource.
@@ -162,11 +165,14 @@ func (ix *Index) Exact(key, value string) []NodeID {
 	return out
 }
 
-// ScanKey implements IndexTermSource.
-func (ix *Index) ScanKey(key string, fn func(value string, ids []NodeID)) {
+// Prefix implements IndexTermSource.
+func (ix *Index) Prefix(dst []NodeID, key, prefix string, keep func(string) bool) []NodeID {
 	for v, ids := range ix.byKey[strings.ToLower(key)] {
-		fn(v, ids)
+		if strings.HasPrefix(v, prefix) && (keep == nil || keep(v)) {
+			dst = append(dst, ids...)
+		}
 	}
+	return dst
 }
 
 // EvalIndexQuery evaluates a parsed index query over any term source.
@@ -197,17 +203,24 @@ func EvalIndexQuery(q IndexQuery, ts IndexTermSource) []NodeID {
 	return nil
 }
 
+// evalIndexTerm serves a wildcard term as a range of the key's terms:
+// those starting with the literal text before the first wildcard. A
+// value whose only wildcard is one trailing '*' is exactly that range;
+// any other pattern also filters the range's terms by WildcardMatch.
+// The matching posting lists are gathered, then sorted and deduplicated
+// once.
 func evalIndexTerm(t *IndexTerm, ts IndexTermSource) []NodeID {
-	if !strings.ContainsAny(t.Value, "*?") {
+	i := strings.IndexAny(t.Value, "*?")
+	if i < 0 {
 		return ts.Exact(t.Key, t.Value)
 	}
-	var out []NodeID
-	ts.ScanKey(t.Key, func(v string, ids []NodeID) {
-		if WildcardMatch(t.Value, v) {
-			out = unionIDs(out, ids)
-		}
-	})
-	return out
+	var keep func(string) bool
+	if i != len(t.Value)-1 || t.Value[i] != '*' {
+		keep = func(v string) bool { return WildcardMatch(t.Value, v) }
+	}
+	out := ts.Prefix(nil, t.Key, t.Value[:i], keep)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // WildcardMatch reports whether value matches pattern, where '*' matches

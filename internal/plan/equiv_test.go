@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -16,6 +17,7 @@ import (
 	"frappe/internal/model"
 	"frappe/internal/plan"
 	"frappe/internal/query"
+	"frappe/internal/store"
 )
 
 // The paper's figure queries (same text the bench harness uses).
@@ -352,4 +354,119 @@ func TestConcurrentPlanExecution(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// whereCases filter MATCH bindings on the auto-indexed keys: the shapes
+// a console sends, with the WHERE forms whose rows depend on how the
+// executor binds, keeps and restores variables across patterns, WITH
+// and OPTIONAL MATCH.
+var whereCases = []string{
+	// Equality at a non-zero pattern position (perfbench's revscan) and
+	// on a single-node pattern, literal on either side.
+	`MATCH (a:function) -[:calls]-> b WHERE b.short_name = 'printk' RETURN a.short_name`,
+	`MATCH (f:function) WHERE 'sr_media_change' = f.short_name RETURN f.short_name, f.long_name`,
+	// Conjunctions, a wildcard, TYPE (the node's concrete type).
+	`MATCH (a:function) -[:calls]-> (b:function) WHERE a.short_name <> 'x' AND b.name = 'printk' AND a.short_name =~ 's*' RETURN a.short_name, b.short_name`,
+	`MATCH (s) -[:contains]-> f WHERE s.type = 'struct' AND f.short_name = 'cmd' RETURN s.short_name`,
+	// Trailing and interior wildcards (perfbench's scan-stream).
+	`MATCH (f:function) WHERE f.short_name =~ 'pci_l1*' RETURN f.short_name, f.long_name`,
+	`MATCH (f:function) WHERE f.short_name =~ 'pci_l1?_n*' RETURN f.short_name`,
+	`MATCH (a:function) -[:calls]-> (f:function) WHERE f.long_name =~ 'sr_*(int)' RETURN a.short_name, f.short_name`,
+	// A missing value, and a property most nodes lack.
+	`MATCH (a:function) -[:calls]-> b WHERE b.short_name = 'no_such_fn' RETURN a.short_name`,
+	`MATCH (a) -[:calls]-> b WHERE b.name = 'printk' RETURN a.short_name`,
+	// OR-, NOT- and XOR-wrapped predicates.
+	`MATCH (a:function) -[:calls]-> b WHERE b.short_name = 'printk' OR a.short_name = 'panic' RETURN a.short_name, b.short_name`,
+	`MATCH (a:function) -[:calls]-> (b:function) WHERE NOT b.short_name = 'printk' RETURN count(*)`,
+	`MATCH (f:function) WHERE NOT (f.short_name =~ 'pci_*') RETURN count(*)`,
+	`MATCH (f:function) WHERE f.short_name = 'printk' XOR f.short_name = 'panic' RETURN f.short_name`,
+	// Non-string literals and a leading wildcard.
+	`MATCH (f) WHERE f.short_name = 5 RETURN f`,
+	`MATCH (f) WHERE f.short_name =~ 5 RETURN f`,
+	`MATCH (f:function) WHERE f.short_name =~ '*_init' RETURN f.short_name`,
+	// A variable bound by START or an earlier MATCH.
+	`START b=node:node_auto_index('short_name: panic') MATCH (a:function) -[:calls]-> b WHERE b.short_name = 'printk' RETURN a.short_name`,
+	`START b=node:node_auto_index('short_name: printk') MATCH (a:function) -[:calls]-> b WHERE b.short_name = 'printk' RETURN a.short_name`,
+	`MATCH (b:function{short_name: 'panic'}) MATCH (a:function) -[:calls]-> b WHERE b.short_name =~ 'pan*' RETURN a.short_name`,
+	// A WHERE after a WITH that renames the variable.
+	`MATCH (a:function) WITH a AS b WHERE b.short_name = 'printk' RETURN b.short_name`,
+	`MATCH (a:function) -[:calls]-> (c) WITH c AS b, a WHERE b.short_name = 'panic' RETURN a.short_name`,
+	// OPTIONAL MATCH: its WHERE filters the padded rows too.
+	`START a=node:node_auto_index('short_name: printk') OPTIONAL MATCH (b:function) WHERE b.short_name = 'panic' RETURN a.short_name, b.short_name`,
+	// A path binding and a pattern predicate binding a fresh variable.
+	`MATCH p = (a:function{short_name: 'sr_media_change'}) -[:calls*..2]-> (b) WHERE b.short_name =~ 'sr_*' RETURN length(p), b.short_name`,
+	`MATCH (a:function) -[:calls]-> (b:function{short_name: 'printk'}) WHERE a -[:calls]-> (c:function{short_name: 'panic'}) RETURN a.short_name ORDER BY a.short_name`,
+}
+
+// storeOf writes src to a store under t's temporary directory and opens
+// it.
+func storeOf(t *testing.T, src graph.Source) *store.DB {
+	t.Helper()
+	dir := filepath.Join(t.TempDir(), "db")
+	if err := store.Write(dir, src.(*graph.Graph)); err != nil {
+		t.Fatal(err)
+	}
+	db, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	return db
+}
+
+// TestWherePredicateEquivalence: each WHERE case runs naively and
+// planned over the in-memory graph and over the same graph written to a
+// store, and the four answers must agree.
+func TestWherePredicateEquivalence(t *testing.T) {
+	src, st := tinyGraph(t)
+	db := storeOf(t, src)
+	for i, text := range whereCases {
+		t.Run(fmt.Sprintf("w%02d", i), func(t *testing.T) {
+			runBoth(t, src, st, text, query.Limits{MaxSteps: 3_000_000})
+			runBoth(t, db, st, text, query.Limits{MaxSteps: 3_000_000})
+			q, err := query.Parse(text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := plan.Compile(q, st)
+			mem, err := p.Execute(context.Background(), src, query.Limits{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			disk, err := p.Execute(context.Background(), db, query.Limits{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if canon(src, mem) != canon(db, disk) {
+				t.Fatalf("memory and store answers differ for %q", text)
+			}
+		})
+	}
+}
+
+// TestIndexWildcardMatchesWhere: a wildcard term of the auto-index (a
+// prefix range, filtered when the wildcard is not one trailing '*')
+// finds exactly the nodes a WHERE =~ scan keeps, on both sources.
+func TestIndexWildcardMatchesWhere(t *testing.T) {
+	src, _ := tinyGraph(t)
+	db := storeOf(t, src)
+	for _, pat := range []string{"pci_l1*", "pci_l1?_n*", "pci_l*_n2", "sr_*", "s?_*", "printk*", "no_such*", "*_init", "?rintk", "wakeup.elf*"} {
+		for _, key := range []string{"short_name", "long_name", "name"} {
+			seek := fmt.Sprintf(`START n=node:node_auto_index('%s: "%s"') RETURN n`, key, pat)
+			scan := fmt.Sprintf(`MATCH (n) WHERE n.%s =~ '%s' RETURN n`, key, pat)
+			for _, s := range []graph.Source{src, db} {
+				a, err := query.Run(context.Background(), s, seek)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := query.Run(context.Background(), s, scan)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if canon(s, a) != canon(s, b) {
+					t.Fatalf("%s: index finds\n%s\nthe scan keeps\n%s", seek, canon(s, a), canon(s, b))
+				}
+			}
+		}
+	}
 }

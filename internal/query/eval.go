@@ -18,7 +18,7 @@ func (ex *exec) evalExpr(e Expr, row Row) (Val, error) {
 		return ScalarVal(t.Val), nil
 
 	case *VarExpr:
-		v, ok := row[t.Name]
+		v, ok := row.get(t.Name)
 		if !ok {
 			return nullVal, &unknownVarError{name: t.Name}
 		}
@@ -65,22 +65,7 @@ func (ex *exec) evalExpr(e Expr, row Row) (Val, error) {
 		if err != nil {
 			return nullVal, err
 		}
-		switch t.Op {
-		case "NOT":
-			if x.IsNull() {
-				return nullVal, nil
-			}
-			return ScalarVal(graph.Bool(!x.Truthy())), nil
-		case "-":
-			if x.IsNull() {
-				return nullVal, nil
-			}
-			if x.Kind != ValScalar || x.Scalar.Kind() != graph.KindInt {
-				return nullVal, ex.errf("unary minus on non-integer")
-			}
-			return ScalarVal(graph.Int(-x.Scalar.AsInt())), nil
-		}
-		return nullVal, ex.errf("unknown unary operator %q", t.Op)
+		return ex.unary(t.Op, x)
 
 	case *BinaryExpr:
 		return ex.evalBinary(t, row)
@@ -96,6 +81,26 @@ func (ex *exec) evalExpr(e Expr, row Row) (Val, error) {
 		return ex.evalCall(t, row)
 	}
 	return nullVal, ex.errf("cannot evaluate %T", e)
+}
+
+// unary applies a unary operator to an evaluated operand.
+func (ex *exec) unary(op string, x Val) (Val, error) {
+	switch op {
+	case "NOT":
+		if x.IsNull() {
+			return nullVal, nil
+		}
+		return ScalarVal(graph.Bool(!x.Truthy())), nil
+	case "-":
+		if x.IsNull() {
+			return nullVal, nil
+		}
+		if x.Kind != ValScalar || x.Scalar.Kind() != graph.KindInt {
+			return nullVal, ex.errf("unary minus on non-integer")
+		}
+		return ScalarVal(graph.Int(-x.Scalar.AsInt())), nil
+	}
+	return nullVal, ex.errf("unknown unary operator %q", op)
 }
 
 func kindName(k ValKind) string {
@@ -114,21 +119,31 @@ func kindName(k ValKind) string {
 	return "?"
 }
 
+// evalBinary evaluates both operands, left first, except where AND or
+// OR is decided by its left operand.
 func (ex *exec) evalBinary(t *BinaryExpr, row Row) (Val, error) {
-	switch t.Op {
+	l, err := ex.evalExpr(t.L, row)
+	if err != nil {
+		return nullVal, err
+	}
+	switch {
+	case t.Op == "AND" && !l.IsNull() && !l.Truthy():
+		return ScalarVal(graph.Bool(false)), nil
+	case t.Op == "OR" && !l.IsNull() && l.Truthy():
+		return ScalarVal(graph.Bool(true)), nil
+	}
+	r, err := ex.evalExpr(t.R, row)
+	if err != nil {
+		return nullVal, err
+	}
+	return ex.combine(t.Op, l, r)
+}
+
+// combine applies a binary operator to evaluated operands.
+func (ex *exec) combine(op string, l, r Val) (Val, error) {
+	switch op {
 	case "AND":
-		l, err := ex.evalExpr(t.L, row)
-		if err != nil {
-			return nullVal, err
-		}
-		if !l.IsNull() && !l.Truthy() {
-			return ScalarVal(graph.Bool(false)), nil
-		}
-		r, err := ex.evalExpr(t.R, row)
-		if err != nil {
-			return nullVal, err
-		}
-		if !r.IsNull() && !r.Truthy() {
+		if (!l.IsNull() && !l.Truthy()) || (!r.IsNull() && !r.Truthy()) {
 			return ScalarVal(graph.Bool(false)), nil
 		}
 		if l.IsNull() || r.IsNull() {
@@ -136,18 +151,7 @@ func (ex *exec) evalBinary(t *BinaryExpr, row Row) (Val, error) {
 		}
 		return ScalarVal(graph.Bool(true)), nil
 	case "OR":
-		l, err := ex.evalExpr(t.L, row)
-		if err != nil {
-			return nullVal, err
-		}
-		if !l.IsNull() && l.Truthy() {
-			return ScalarVal(graph.Bool(true)), nil
-		}
-		r, err := ex.evalExpr(t.R, row)
-		if err != nil {
-			return nullVal, err
-		}
-		if !r.IsNull() && r.Truthy() {
+		if (!l.IsNull() && l.Truthy()) || (!r.IsNull() && r.Truthy()) {
 			return ScalarVal(graph.Bool(true)), nil
 		}
 		if l.IsNull() || r.IsNull() {
@@ -155,33 +159,16 @@ func (ex *exec) evalBinary(t *BinaryExpr, row Row) (Val, error) {
 		}
 		return ScalarVal(graph.Bool(false)), nil
 	case "XOR":
-		l, err := ex.evalExpr(t.L, row)
-		if err != nil {
-			return nullVal, err
-		}
-		r, err := ex.evalExpr(t.R, row)
-		if err != nil {
-			return nullVal, err
-		}
 		if l.IsNull() || r.IsNull() {
 			return nullVal, nil
 		}
 		return ScalarVal(graph.Bool(l.Truthy() != r.Truthy())), nil
 	}
-
-	l, err := ex.evalExpr(t.L, row)
-	if err != nil {
-		return nullVal, err
-	}
-	r, err := ex.evalExpr(t.R, row)
-	if err != nil {
-		return nullVal, err
-	}
 	if l.IsNull() || r.IsNull() {
 		return nullVal, nil
 	}
 
-	switch t.Op {
+	switch op {
 	case "=":
 		return ScalarVal(graph.Bool(l.Equal(r))), nil
 	case "<>":
@@ -195,7 +182,7 @@ func (ex *exec) evalBinary(t *BinaryExpr, row Row) (Val, error) {
 			return nullVal, nil
 		}
 		var res bool
-		switch t.Op {
+		switch op {
 		case "<":
 			res = c < 0
 		case "<=":
@@ -225,10 +212,10 @@ func (ex *exec) evalBinary(t *BinaryExpr, row Row) (Val, error) {
 	case "-", "*", "/", "%":
 		if l.Kind != ValScalar || r.Kind != ValScalar ||
 			l.Scalar.Kind() != graph.KindInt || r.Scalar.Kind() != graph.KindInt {
-			return nullVal, ex.errf("arithmetic %q on non-integers", t.Op)
+			return nullVal, ex.errf("arithmetic %q on non-integers", op)
 		}
 		a, b := l.Scalar.AsInt(), r.Scalar.AsInt()
-		switch t.Op {
+		switch op {
 		case "+":
 			return ScalarVal(graph.Int(a + b)), nil
 		case "-":
@@ -252,7 +239,7 @@ func (ex *exec) evalBinary(t *BinaryExpr, row Row) (Val, error) {
 		}
 		return nullVal, nil
 	}
-	return nullVal, ex.errf("unknown operator %q", t.Op)
+	return nullVal, ex.errf("unknown operator %q", op)
 }
 
 // isAggregateName reports whether the function aggregates over rows.
@@ -276,6 +263,11 @@ func (ex *exec) evalCall(t *CallExpr, row Row) (Val, error) {
 		}
 		args[i] = v
 	}
+	return ex.call(t, args)
+}
+
+// call applies a scalar function to evaluated arguments.
+func (ex *exec) call(t *CallExpr, args []Val) (Val, error) {
 	switch t.Name {
 	case "id":
 		if len(args) != 1 {
@@ -405,18 +397,15 @@ func (ex *exec) evalAggregate(e Expr, rows []Row) (Val, error) {
 	if ok && !isAggregateName(call.Name) {
 		// A scalar function over aggregate arguments, e.g.
 		// length(collect(m)): fold the arguments first.
-		args := make([]Expr, len(call.Args))
-		tmp := Row{}
+		args := make([]Val, len(call.Args))
 		for i, a := range call.Args {
 			v, err := ex.evalAggOrScalar(a, rows)
 			if err != nil {
 				return nullVal, err
 			}
-			name := fmt.Sprintf("__a%d", i)
-			tmp[name] = v
-			args[i] = &VarExpr{Name: name}
+			args[i] = v
 		}
-		return ex.evalCall(&CallExpr{Name: call.Name, Args: args}, tmp)
+		return ex.call(call, args)
 	}
 	if !ok {
 		// Arithmetic over aggregates, e.g. count(*)+1: evaluate
@@ -431,15 +420,13 @@ func (ex *exec) evalAggregate(e Expr, rows []Row) (Val, error) {
 			if err != nil {
 				return nullVal, err
 			}
-			tmp := Row{"__l": l, "__r": r}
-			return ex.evalBinary(&BinaryExpr{Op: t.Op, L: &VarExpr{Name: "__l"}, R: &VarExpr{Name: "__r"}}, tmp)
+			return ex.combine(t.Op, l, r)
 		case *UnaryExpr:
 			x, err := ex.evalAggOrScalar(t.X, rows)
 			if err != nil {
 				return nullVal, err
 			}
-			tmp := Row{"__x": x}
-			return ex.evalExpr(&UnaryExpr{Op: t.Op, X: &VarExpr{Name: "__x"}}, tmp)
+			return ex.unary(t.Op, x)
 		}
 		return nullVal, ex.errf("unsupported aggregate expression %q", e.Text())
 	}

@@ -87,7 +87,10 @@ type exec struct {
 	fastPred bool
 
 	stages []clauseState
-	sink   RowSink
+	// pats holds the slots setup resolved for every pattern of the
+	// query, MATCH patterns and pattern predicates alike.
+	pats map[*Pattern]*patSlots
+	sink RowSink
 	// stopped is the last clause whose LIMIT has been satisfied (-1:
 	// none): no clause before it needs another row.
 	stopped int
@@ -205,8 +208,9 @@ func (ex *exec) reachabilityHolds(pat *Pattern, row Row) (ok, handled bool, err 
 	}
 	rel := pat.Rels[0]
 	left, right := pat.Nodes[0], pat.Nodes[1]
-	leftID, leftBound, leftBad := boundNode(row, left)
-	rightID, rightBound, rightBad := boundNode(row, right)
+	ps := ex.slotsOf(pat)
+	leftID, leftBound, leftBad := boundNode(row, ps.nodes[0])
+	rightID, rightBound, rightBad := boundNode(row, ps.nodes[1])
 	if leftBad || rightBad {
 		// A pattern variable bound to a non-node can never match.
 		return false, true, nil
@@ -318,15 +322,16 @@ func (ex *exec) closureOpts(rel *RelPattern, outgoing, incoming bool, budgetErr 
 	return opts
 }
 
-// boundNode resolves a node pattern's variable in row: (id, true, false)
-// when bound to a node, bad=true when bound to anything else (null
-// included), in which case the pattern cannot match at all.
-func boundNode(row Row, np *NodePattern) (id graph.NodeID, bound, bad bool) {
-	if np.Var == "" {
+// boundNode resolves the node variable in row slot s (-1: anonymous):
+// (id, true, false) when bound to a node, bad=true when bound to
+// anything else (null included), in which case the pattern cannot match
+// at all.
+func boundNode(row Row, s int) (id graph.NodeID, bound, bad bool) {
+	if s < 0 {
 		return 0, false, false
 	}
-	v, ok := row[np.Var]
-	if !ok {
+	v := row.vals[s]
+	if v.Kind == valUnbound {
 		return 0, false, false
 	}
 	if v.Kind != ValNode {
@@ -352,21 +357,52 @@ func relTypeSet(rel *RelPattern) traversal.TypeSet {
 // witness).
 var errStopMatch = &Error{Msg: "stop"}
 
+// patSlots are one pattern's variables resolved to slots of the scope
+// it runs in; -1 marks an anonymous position.
+type patSlots struct {
+	nodes []int
+	rels  []int
+	path  int
+}
+
+// slotsOf returns the slots setup resolved for pat.
+func (ex *exec) slotsOf(pat *Pattern) *patSlots {
+	ps := ex.pats[pat]
+	if ps == nil {
+		panic(&Error{Msg: "pattern " + patternText(pat) + " has no resolved variables"})
+	}
+	return ps
+}
+
+// bind binds slot s (-1: anonymous) to node id unless it is bound
+// already, in which case the binding must be that node. It reports
+// whether the node fits and whether this call bound the slot, so the
+// caller can unbind it on backtrack.
+func bind(row Row, s int, id graph.NodeID) (fits, bound bool) {
+	if s < 0 {
+		return true, false
+	}
+	if cur := row.vals[s]; cur.Kind != valUnbound {
+		return cur.Kind == ValNode && cur.Node == id, false
+	}
+	row.vals[s] = NodeVal(id)
+	return true, true
+}
+
 // matchOne enumerates all assignments of one linear pattern consistent
-// with row, calling emit for each. The used set enforces relationship
-// uniqueness; entries added along one solution path are removed on
-// backtrack.
+// with row, calling emit for each. Bindings are made in row's slots and
+// undone on backtrack, so emit sees row bound only for the duration of
+// the call. The used set enforces relationship uniqueness; entries
+// added along one solution path are removed on backtrack.
 func (ex *exec) matchOne(row Row, pat *Pattern, hint *PatternHint, used edgeSet, emit func(Row) error) error {
+	ps := ex.slotsOf(pat)
 	if pat.Shortest {
-		return ex.matchShortest(row, pat, emit)
+		return ex.matchShortest(row, pat, ps, emit)
 	}
 	// Choose the anchor: the first node position whose variable is bound.
 	anchor := -1
-	for i, np := range pat.Nodes {
-		if np.Var == "" {
-			continue
-		}
-		if v, ok := row[np.Var]; ok && v.Kind == ValNode {
+	for i, s := range ps.nodes {
+		if s >= 0 && row.vals[s].Kind == ValNode {
 			anchor = i
 			break
 		}
@@ -409,20 +445,26 @@ func (ex *exec) matchOne(row Row, pat *Pattern, hint *PatternHint, used edgeSet,
 
 	// nodeAt tracks the concrete node at each pattern position for the
 	// current solution path (named or anonymous); edgesAt tracks the
-	// matched edges per relationship position for path bindings.
+	// matched edges per relationship position, kept only for a path
+	// binding.
 	nodeAt := make([]graph.NodeID, len(pat.Nodes))
 	for i := range nodeAt {
 		nodeAt[i] = graph.InvalidID
 	}
-	edgesAt := make([][]Val, len(pat.Rels))
+	var edgesAt [][]Val
+	if ps.path >= 0 {
+		edgesAt = make([][]Val, len(pat.Rels))
+	}
 
-	var solve func(row Row, j int) error
-	solve = func(row Row, j int) error {
+	var solve func(j int) error
+	solve = func(j int) error {
 		if j == len(jobs) {
-			if pat.PathVar != "" {
-				r := row.clone()
-				r[pat.PathVar] = ex.buildPathVal(pat, nodeAt, edgesAt)
-				return emit(r)
+			if ps.path >= 0 {
+				prev := row.vals[ps.path]
+				row.vals[ps.path] = ex.buildPathVal(pat, nodeAt, edgesAt)
+				err := emit(row)
+				row.vals[ps.path] = prev
+				return err
 			}
 			return emit(row)
 		}
@@ -430,6 +472,10 @@ func (ex *exec) matchOne(row Row, pat *Pattern, hint *PatternHint, used edgeSet,
 		rel := pat.Rels[jb.relIdx]
 		known := nodeAt[jb.knownPos]
 		targNP := pat.Nodes[jb.targPos]
+		targSlot, relSlot := ps.nodes[jb.targPos], ps.rels[jb.relIdx]
+		// A relationship or path binding observes the matched edges;
+		// otherwise nothing reads them.
+		keepEdges := relSlot >= 0 || ps.path >= 0
 
 		// leftToRight is true when we traverse the relationship in its
 		// arrow direction starting from the known end.
@@ -445,42 +491,47 @@ func (ex *exec) matchOne(row Row, pat *Pattern, hint *PatternHint, used edgeSet,
 			outgoing, incoming = true, true
 		}
 
-		accept := func(edges []Val, target graph.NodeID, r Row) error {
+		accept := func(edges []Val, target graph.NodeID) error {
 			if !ex.nodeMatches(targNP, target) {
 				return nil
 			}
-			if targNP.Var != "" {
-				if bound, ok := r[targNP.Var]; ok {
-					if bound.Kind != ValNode || bound.Node != target {
-						return nil
-					}
-				} else {
-					r = r.clone()
-					r[targNP.Var] = NodeVal(target)
-				}
+			fits, bound := bind(row, targSlot, target)
+			if !fits {
+				return nil
 			}
-			if rel.Var != "" {
-				r = r.clone()
+			var prevRel Val
+			if relSlot >= 0 {
+				prevRel = row.vals[relSlot]
 				if rel.VarLen {
-					r[rel.Var] = ListVal(edges)
+					row.vals[relSlot] = ListVal(edges)
 				} else {
-					r[rel.Var] = edges[0]
+					row.vals[relSlot] = edges[0]
 				}
 			}
 			prev := nodeAt[jb.targPos]
-			prevE := edgesAt[jb.relIdx]
 			nodeAt[jb.targPos] = target
-			edgesAt[jb.relIdx] = edges
-			err := solve(r, j+1)
+			if edgesAt != nil {
+				edgesAt[jb.relIdx] = edges
+			}
+			err := solve(j + 1)
 			nodeAt[jb.targPos] = prev
-			edgesAt[jb.relIdx] = prevE
+			if relSlot >= 0 {
+				row.vals[relSlot] = prevRel
+			}
+			if bound {
+				row.vals[targSlot] = unboundVal
+			}
 			return err
 		}
 
 		if !rel.VarLen {
 			return ex.expandOne(known, rel, outgoing, incoming, used, func(e graph.EdgeID, n graph.NodeID) error {
+				var edges []Val
+				if keepEdges {
+					edges = []Val{EdgeVal(e)}
+				}
 				used[e] = true
-				err := accept([]Val{EdgeVal(e)}, n, row)
+				err := accept(edges, n)
 				delete(used, e)
 				return err
 			})
@@ -497,7 +548,7 @@ func (ex *exec) matchOne(row Row, pat *Pattern, hint *PatternHint, used edgeSet,
 		if hint != nil && jb.relIdx < len(hint.Closure) && hint.Closure[jb.relIdx] &&
 			ClosureShape(pat) && len(used) == 0 {
 			if rel.MinHops == 0 {
-				if err := accept(nil, known, row); err != nil {
+				if err := accept(nil, known); err != nil {
 					return err
 				}
 			}
@@ -515,7 +566,7 @@ func (ex *exec) matchOne(row Row, pat *Pattern, hint *PatternHint, used edgeSet,
 					// Already emitted by the zero-length match above.
 					continue
 				}
-				if err := accept(nil, id, row); err != nil {
+				if err := accept(nil, id); err != nil {
 					return err
 				}
 			}
@@ -530,7 +581,11 @@ func (ex *exec) matchOne(row Row, pat *Pattern, hint *PatternHint, used edgeSet,
 		var dfs func(cur graph.NodeID, depth int) error
 		dfs = func(cur graph.NodeID, depth int) error {
 			if depth >= rel.MinHops && depth > 0 {
-				if err := accept(append([]Val(nil), path...), cur, row); err != nil {
+				var edges []Val
+				if keepEdges {
+					edges = append([]Val(nil), path...)
+				}
+				if err := accept(edges, cur); err != nil {
 					return err
 				}
 			}
@@ -548,7 +603,7 @@ func (ex *exec) matchOne(row Row, pat *Pattern, hint *PatternHint, used edgeSet,
 		}
 		if rel.MinHops == 0 {
 			// Zero-length match: target is the known node itself.
-			if err := accept(nil, known, row); err != nil {
+			if err := accept(nil, known); err != nil {
 				return err
 			}
 		}
@@ -556,31 +611,25 @@ func (ex *exec) matchOne(row Row, pat *Pattern, hint *PatternHint, used edgeSet,
 	}
 
 	// Seed the anchor position.
-	seed := func(row Row, id graph.NodeID) error {
-		np := pat.Nodes[a]
-		if !ex.nodeMatches(np, id) {
+	seed := func(id graph.NodeID) error {
+		if !ex.nodeMatches(pat.Nodes[a], id) {
 			return nil
 		}
-		r := row
-		if np.Var != "" {
-			if bound, ok := r[np.Var]; ok {
-				if bound.Kind != ValNode || bound.Node != id {
-					return nil
-				}
-			} else {
-				r = r.clone()
-				r[np.Var] = NodeVal(id)
-			}
+		fits, bound := bind(row, ps.nodes[a], id)
+		if !fits {
+			return nil
 		}
 		nodeAt[a] = id
-		err := solve(r, 0)
+		err := solve(0)
 		nodeAt[a] = graph.InvalidID
+		if bound {
+			row.vals[ps.nodes[a]] = unboundVal
+		}
 		return err
 	}
 
 	if anchor >= 0 {
-		v := row[pat.Nodes[anchor].Var]
-		return seed(row, v.Node)
+		return seed(row.vals[ps.nodes[anchor]].Node)
 	}
 	ids, err := ex.scanCandidates(pat.Nodes[a])
 	if err != nil {
@@ -590,7 +639,7 @@ func (ex *exec) matchOne(row Row, pat *Pattern, hint *PatternHint, used edgeSet,
 		if err := ex.tick(); err != nil {
 			return err
 		}
-		if err := seed(row, id); err != nil {
+		if err := seed(id); err != nil {
 			return err
 		}
 	}
@@ -619,22 +668,23 @@ func (ex *exec) buildPathVal(pat *Pattern, nodeAt []graph.NodeID, edgesAt [][]Va
 // matchShortest evaluates shortestPath()/allShortestPaths(): both
 // endpoints must be bound nodes; the single relationship pattern drives
 // a breadth-first search through the embedded traversal machinery.
-func (ex *exec) matchShortest(row Row, pat *Pattern, emit func(Row) error) error {
-	endpoint := func(np *NodePattern) (graph.NodeID, error) {
+func (ex *exec) matchShortest(row Row, pat *Pattern, ps *patSlots, emit func(Row) error) error {
+	endpoint := func(i int) (graph.NodeID, error) {
+		np := pat.Nodes[i]
 		if np.Var == "" {
 			return 0, ex.errf("shortestPath endpoints must be named variables")
 		}
-		v, ok := row[np.Var]
-		if !ok || v.Kind != ValNode {
+		v := row.vals[ps.nodes[i]]
+		if v.Kind != ValNode {
 			return 0, ex.errf("shortestPath endpoint %q is not a bound node", np.Var)
 		}
 		return v.Node, nil
 	}
-	from, err := endpoint(pat.Nodes[0])
+	from, err := endpoint(0)
 	if err != nil {
 		return err
 	}
-	to, err := endpoint(pat.Nodes[1])
+	to, err := endpoint(1)
 	if err != nil {
 		return err
 	}
@@ -662,15 +712,15 @@ func (ex *exec) matchShortest(row Row, pat *Pattern, emit func(Row) error) error
 	}
 	emitPath := func(p traversal.Path) error {
 		r := row.clone()
-		if pat.PathVar != "" {
-			r[pat.PathVar] = PathVal(p)
+		if ps.path >= 0 {
+			r.vals[ps.path] = PathVal(p)
 		}
-		if rel.Var != "" {
+		if s := ps.rels[0]; s >= 0 {
 			edges := make([]Val, p.Len())
-			for i, s := range p.Steps {
-				edges[i] = EdgeVal(s.Edge)
+			for i, st := range p.Steps {
+				edges[i] = EdgeVal(st.Edge)
 			}
-			r[rel.Var] = ListVal(edges)
+			r.vals[s] = ListVal(edges)
 		}
 		return emit(r)
 	}
@@ -822,10 +872,14 @@ func ConcreteLabel(np *NodePattern) string {
 
 // --- projection ---
 
-func (ex *exec) applyProjection(rows []Row, items []ReturnItem, distinct bool, order []OrderKey, skipE, limitE Expr) ([]Row, []string, error) {
-	cols := make([]string, len(items))
+// applyProjection runs a projection over its whole input: group and
+// aggregate, DISTINCT, ORDER BY, SKIP, LIMIT. The projected rows are
+// rows of out, with column j in slot out.slot(p.Items[j].Alias).
+func (ex *exec) applyProjection(rows []Row, p *ReturnClause, out *scope) ([]Row, error) {
+	items := p.Items
+	colSlots := make([]int, len(items))
 	for i, it := range items {
-		cols[i] = it.Alias
+		colSlots[i] = out.slot(it.Alias)
 	}
 
 	aggregated := false
@@ -838,79 +892,80 @@ func (ex *exec) applyProjection(rows []Row, items []ReturnItem, distinct bool, o
 
 	var projected []Row
 	if aggregated {
-		// Group rows by the values of non-aggregate items.
+		// Group rows by the values of non-aggregate items; a group's
+		// output row holds those values until the aggregates fill in.
 		type group struct {
-			keyVals map[string]Val
-			rows    []Row
+			out  Row
+			rows []Row
 		}
 		groups := make(map[string]*group)
-		var orderKeys []string
+		var order []*group
 		var groupVals []Val
 		for _, row := range rows {
-			keyVals := make(map[string]Val)
 			groupVals = groupVals[:0]
-			for i, it := range items {
+			for _, it := range items {
 				if isAggregate(it.Expr) {
 					continue
 				}
 				v, err := ex.evalExpr(it.Expr, row)
 				if err != nil {
-					return nil, nil, err
+					return nil, err
 				}
-				keyVals[cols[i]] = v
 				groupVals = append(groupVals, v)
 			}
 			k := rowKey(groupVals)
 			grp, ok := groups[k]
 			if !ok {
-				grp = &group{keyVals: keyVals}
+				grp = &group{out: out.newRow()}
+				j := 0
+				for i, it := range items {
+					if !isAggregate(it.Expr) {
+						grp.out.vals[colSlots[i]] = groupVals[j]
+						j++
+					}
+				}
 				groups[k] = grp
-				orderKeys = append(orderKeys, k)
+				order = append(order, grp)
 			}
 			grp.rows = append(grp.rows, row)
 		}
 		if len(rows) == 0 && allAggregates(items) {
 			// Aggregates over zero rows produce one row (count(*) = 0).
-			groups[""] = &group{keyVals: map[string]Val{}}
-			orderKeys = append(orderKeys, "")
+			order = append(order, &group{out: out.newRow()})
 		}
-		for _, k := range orderKeys {
-			grp := groups[k]
-			out := make(Row, len(items))
+		for _, grp := range order {
 			for i, it := range items {
 				if isAggregate(it.Expr) {
 					v, err := ex.evalAggregate(it.Expr, grp.rows)
 					if err != nil {
-						return nil, nil, err
+						return nil, err
 					}
-					out[cols[i]] = v
-				} else {
-					out[cols[i]] = grp.keyVals[cols[i]]
+					grp.out.vals[colSlots[i]] = v
 				}
 			}
-			projected = append(projected, out)
+			projected = append(projected, grp.out)
 		}
 	} else {
 		for _, row := range rows {
-			out := make(Row, len(items))
+			r := out.newRow()
 			for i, it := range items {
 				v, err := ex.evalExpr(it.Expr, row)
 				if err != nil {
-					return nil, nil, err
+					return nil, err
 				}
-				out[cols[i]] = v
+				r.vals[colSlots[i]] = v
 			}
-			projected = append(projected, out)
+			projected = append(projected, r)
 		}
 	}
 
-	if distinct {
+	if p.Distinct {
 		seen := make(map[string]bool)
 		var dedup []Row
-		vals := make([]Val, len(cols))
+		vals := make([]Val, len(items))
 		for _, r := range projected {
-			for j, c := range cols {
-				vals[j] = r[c]
+			for j, s := range colSlots {
+				vals[j] = r.vals[s]
 			}
 			k := rowKey(vals)
 			if seen[k] {
@@ -922,10 +977,10 @@ func (ex *exec) applyProjection(rows []Row, items []ReturnItem, distinct bool, o
 		projected = dedup
 	}
 
-	if len(order) > 0 {
+	if len(p.OrderBy) > 0 {
 		var evalErr error
 		sort.SliceStable(projected, func(i, j int) bool {
-			for _, ok := range order {
+			for _, ok := range p.OrderBy {
 				vi := ex.evalOrderKey(ok.Expr, projected[i], &evalErr)
 				vj := ex.evalOrderKey(ok.Expr, projected[j], &evalErr)
 				c := compareVals(vi, vj)
@@ -940,14 +995,14 @@ func (ex *exec) applyProjection(rows []Row, items []ReturnItem, distinct bool, o
 			return false
 		})
 		if evalErr != nil {
-			return nil, nil, evalErr
+			return nil, evalErr
 		}
 	}
 
-	if skipE != nil {
-		n, err := ex.evalIntConst(skipE)
+	if p.Skip != nil {
+		n, err := ex.evalIntConst(p.Skip)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if int(n) < len(projected) {
 			projected = projected[n:]
@@ -955,16 +1010,16 @@ func (ex *exec) applyProjection(rows []Row, items []ReturnItem, distinct bool, o
 			projected = nil
 		}
 	}
-	if limitE != nil {
-		n, err := ex.evalIntConst(limitE)
+	if p.Limit != nil {
+		n, err := ex.evalIntConst(p.Limit)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if int64(len(projected)) > n {
 			projected = projected[:n]
 		}
 	}
-	return projected, cols, nil
+	return projected, nil
 }
 
 // rowKey renders the canonical DISTINCT / grouping key of a value
@@ -992,7 +1047,7 @@ func allAggregates(items []ReturnItem) bool {
 // unknown variables order as null rather than failing, so ORDER BY works
 // over aggregated output.
 func (ex *exec) evalOrderKey(e Expr, row Row, errOut *error) Val {
-	if v, ok := row[e.Text()]; ok {
+	if v, ok := row.get(e.Text()); ok {
 		return v
 	}
 	v, err := ex.evalExpr(e, row)

@@ -31,32 +31,36 @@ func Streamable(q *Query) bool {
 }
 
 func (ex *exec) interpret(q *Query) (*Result, error) {
-	rows := []Row{{}}
+	ex.resolve(q)
+	var rows []Row
+	if len(ex.stages) > 0 {
+		rows = []Row{ex.stages[0].in.newRow()}
+	}
 	var result *Result
-	for _, c := range q.Clauses {
+	for i, c := range q.Clauses {
 		if result != nil {
 			return nil, ex.errf("RETURN must be the final clause")
 		}
 		var err error
 		switch t := c.(type) {
 		case *StartClause:
-			rows, err = ex.applyStart(rows, t)
+			rows, err = ex.applyStart(rows, t, ex.stages[i].starts)
 		case *MatchClause:
 			rows, err = ex.applyMatch(rows, t)
 		case *WhereClause:
 			rows, err = ex.applyWhere(rows, t)
 		case *WithClause:
-			rows, _, err = ex.applyProjection(rows, t.Items, t.Distinct, t.OrderBy, t.Skip, t.Limit)
+			rows, err = ex.applyProjection(rows, (*ReturnClause)(t), ex.stages[i].colScope)
 		case *ReturnClause:
-			var cols []string
+			st := &ex.stages[i]
 			var projected []Row
-			projected, cols, err = ex.applyProjection(rows, t.Items, t.Distinct, t.OrderBy, t.Skip, t.Limit)
+			projected, err = ex.applyProjection(rows, t, st.colScope)
 			if err == nil {
-				result = &Result{Columns: cols}
+				result = &Result{Columns: st.cols}
 				for _, r := range projected {
-					vals := make([]Val, len(cols))
-					for j, c := range cols {
-						vals[j] = r[c]
+					vals := make([]Val, len(st.cols))
+					for j, s := range st.colSlots {
+						vals[j] = r.vals[s]
 					}
 					result.Rows = append(result.Rows, vals)
 				}
@@ -72,8 +76,8 @@ func (ex *exec) interpret(q *Query) (*Result, error) {
 	return result, nil
 }
 
-func (ex *exec) applyStart(rows []Row, sc *StartClause) ([]Row, error) {
-	for _, item := range sc.Items {
+func (ex *exec) applyStart(rows []Row, sc *StartClause, starts []startItem) ([]Row, error) {
+	for k, item := range sc.Items {
 		ids, err := ex.startItemIDs(item)
 		if err != nil {
 			return nil, err
@@ -85,7 +89,7 @@ func (ex *exec) applyStart(rows []Row, sc *StartClause) ([]Row, error) {
 					return nil, err
 				}
 				r := row.clone()
-				r[item.Var] = NodeVal(id)
+				r.vals[starts[k].slot] = NodeVal(id)
 				next = append(next, r)
 			}
 		}
@@ -117,7 +121,7 @@ func (ex *exec) applyMatch(rows []Row, mc *MatchClause) ([]Row, error) {
 				return err
 			}
 			matched = true
-			out = append(out, r)
+			out = append(out, r.clone())
 			return nil
 		})
 		if err != nil {
@@ -126,23 +130,10 @@ func (ex *exec) applyMatch(rows []Row, mc *MatchClause) ([]Row, error) {
 		if !matched && mc.Optional {
 			r := row.clone()
 			for _, pat := range mc.Patterns {
-				for _, np := range pat.Nodes {
-					if np.Var != "" {
-						if _, ok := r[np.Var]; !ok {
-							r[np.Var] = nullVal
-						}
-					}
-				}
-				for _, rp := range pat.Rels {
-					if rp.Var != "" {
-						if _, ok := r[rp.Var]; !ok {
-							r[rp.Var] = nullVal
-						}
-					}
-				}
-				if pat.PathVar != "" {
-					if _, ok := r[pat.PathVar]; !ok {
-						r[pat.PathVar] = nullVal
+				ps := ex.slotsOf(pat)
+				for _, s := range append(append([]int{ps.path}, ps.nodes...), ps.rels...) {
+					if s >= 0 && r.vals[s].Kind == valUnbound {
+						r.vals[s] = nullVal
 					}
 				}
 			}

@@ -119,6 +119,7 @@ func abortError(r any) error {
 // the clause's streaming state.
 type clauseState struct {
 	clause Clause
+	in     *scope        // the variables the clause's input rows bind
 	hints  []PatternHint // MATCH
 	starts []startItem   // START, one per item
 	rows   int           // MATCH: rows produced, charged to the row budget
@@ -126,10 +127,13 @@ type clauseState struct {
 	// WITH and RETURN.
 	proj     *ReturnClause
 	cols     []string
+	colScope *scope          // the projected rows' variables: WITH's next scope
+	colSlots []int           // slot of each column in colScope
 	blocking bool            // ORDER BY or an aggregate: buffers its input in buf
-	buf      []Row           // blocking: input rows, already counted by checkRows
+	buf      []Row           // blocking: input rows, cloned
 	seen     map[string]bool // streaming DISTINCT: keys passed so far
 	vals     []Val           // streaming WITH: buffer reused for each row
+	next     Row             // streaming WITH: output row reused for each row
 	skip     int64           // streaming: rows still to drop
 	limit    int64           // streaming: rows still to pass; -1 without LIMIT
 
@@ -138,10 +142,11 @@ type clauseState struct {
 	nanos int64 // wall time charged (PROFILE)
 }
 
-// startItem is one START item's resolved seeds and the rows it has
-// produced, charged to the row budget.
+// startItem is one START item's resolved seeds, the slot it binds and
+// the rows it has produced, charged to the row budget.
 type startItem struct {
 	ids  []graph.NodeID
+	slot int
 	rows int
 }
 
@@ -203,20 +208,20 @@ func CheckShape(q *Query) error {
 }
 
 // setup validates the clause shape and resolves each clause's static
-// inputs, in clause order so the first failing clause reports.
+// inputs, in clause order so the first failing clause reports: its
+// variables to slots of its scope, and its START seeds, planner hints,
+// columns, SKIP and LIMIT.
 func (ex *exec) setup(q *Query, hints [][]PatternHint) error {
 	if err := CheckShape(q); err != nil {
 		return err
 	}
-	ex.stages = make([]clauseState, len(q.Clauses))
+	ex.resolve(q)
 	mi := 0
 	for i, c := range q.Clauses {
 		st := &ex.stages[i]
-		st.clause = c
 		var err error
 		switch t := c.(type) {
 		case *StartClause:
-			st.starts = make([]startItem, len(t.Items))
 			for j := 0; j < len(t.Items) && err == nil; j++ {
 				st.starts[j].ids, err = ex.startItemIDs(t.Items[j])
 			}
@@ -236,15 +241,95 @@ func (ex *exec) setup(q *Query, hints [][]PatternHint) error {
 	return nil
 }
 
+// resolve numbers the variables of every clause scope and resolves
+// each pattern's and START item's variables to slots. A WITH's columns
+// open a new scope; a RETURN's columns form the scope its ORDER BY keys
+// read. Pattern predicates bind slots of the scope they run in, so they
+// are numbered too.
+func (ex *exec) resolve(q *Query) {
+	ex.stages = make([]clauseState, len(q.Clauses))
+	ex.pats = map[*Pattern]*patSlots{}
+	sc := &scope{}
+	for i, c := range q.Clauses {
+		st := &ex.stages[i]
+		st.clause, st.in = c, sc
+		switch t := c.(type) {
+		case *StartClause:
+			st.starts = make([]startItem, len(t.Items))
+			for j, it := range t.Items {
+				st.starts[j].slot = sc.add(it.Var)
+			}
+		case *MatchClause:
+			for _, pat := range t.Patterns {
+				ex.resolvePattern(pat, sc)
+			}
+		case *WhereClause:
+			ex.resolvePredicates(t.Cond, sc)
+		case *WithClause, *ReturnClause:
+			p := projection(c)
+			st.colScope = &scope{}
+			st.cols = make([]string, len(p.Items))
+			st.colSlots = make([]int, len(p.Items))
+			for j, it := range p.Items {
+				ex.resolvePredicates(it.Expr, sc)
+				st.cols[j] = it.Alias
+				st.colSlots[j] = st.colScope.add(it.Alias)
+			}
+			for _, k := range p.OrderBy {
+				ex.resolvePredicates(k.Expr, st.colScope)
+			}
+			if _, ok := c.(*WithClause); ok {
+				sc = st.colScope
+			}
+		}
+	}
+}
+
+// resolvePattern numbers pat's variables in sc.
+func (ex *exec) resolvePattern(pat *Pattern, sc *scope) {
+	slot := func(name string) int {
+		if name == "" {
+			return -1
+		}
+		return sc.add(name)
+	}
+	ps := &patSlots{nodes: make([]int, len(pat.Nodes)), rels: make([]int, len(pat.Rels)), path: slot(pat.PathVar)}
+	for i, np := range pat.Nodes {
+		ps.nodes[i] = slot(np.Var)
+	}
+	for i, rp := range pat.Rels {
+		ps.rels[i] = slot(rp.Var)
+	}
+	ex.pats[pat] = ps
+}
+
+// resolvePredicates numbers the variables of every pattern predicate
+// in e.
+func (ex *exec) resolvePredicates(e Expr, sc *scope) {
+	switch t := e.(type) {
+	case *PatternExpr:
+		ex.resolvePattern(t.Pattern, sc)
+	case *PropExpr:
+		ex.resolvePredicates(t.Base, sc)
+	case *HasExpr:
+		ex.resolvePredicates(t.Base, sc)
+	case *UnaryExpr:
+		ex.resolvePredicates(t.X, sc)
+	case *BinaryExpr:
+		ex.resolvePredicates(t.L, sc)
+		ex.resolvePredicates(t.R, sc)
+	case *CallExpr:
+		for _, a := range t.Args {
+			ex.resolvePredicates(a, sc)
+		}
+	}
+}
+
 // setupProjection evaluates a projection's SKIP and LIMIT once. A LIMIT
 // of 0 means no row is wanted from upstream at all.
 func (ex *exec) setupProjection(i int, p *ReturnClause) error {
 	st := &ex.stages[i]
 	st.proj = p
-	st.cols = make([]string, len(p.Items))
-	for j, it := range p.Items {
-		st.cols[j] = it.Alias
-	}
 	st.blocking = blocking(p)
 	st.limit = -1
 	if p.Skip != nil {
@@ -283,7 +368,7 @@ func (ex *exec) execute(q *Query, hints [][]PatternHint, onCols func([]string) e
 	}
 	err := error(errStopStream)
 	if ex.stopped < 0 {
-		err = ex.push(0, nil) // every binding clones the row it extends
+		err = ex.push(0, ex.stages[0].in.newRow())
 	}
 	for i := range ex.stages {
 		if !ex.stages[i].blocking || (err == errStopStream && i < ex.stopped) {
@@ -323,7 +408,7 @@ func (ex *exec) push(i int, row Row) error {
 			return err
 		}
 		if !matched && t.Optional {
-			return ex.handOff(i, optionalNullRow(row, t))
+			return ex.handOff(i, ex.optionalNullRow(row, t))
 		}
 		return nil
 	case *WhereClause:
@@ -337,7 +422,7 @@ func (ex *exec) push(i int, row Row) error {
 		return nil
 	}
 	if st.blocking {
-		st.buf = append(st.buf, row)
+		st.buf = append(st.buf, row.clone())
 		return nil
 	}
 	return ex.project(i, row)
@@ -350,18 +435,20 @@ func (ex *exec) pushStart(i int, sc *StartClause, row Row, k int) error {
 		return ex.handOff(i, row)
 	}
 	it := &ex.stages[i].starts[k]
+	prev := row.vals[it.slot]
+	var err error
 	for _, id := range it.ids {
 		it.rows++
-		if err := ex.checkRows(it.rows); err != nil {
-			return err
+		if err = ex.checkRows(it.rows); err != nil {
+			break
 		}
-		r := row.clone()
-		r[sc.Items[k].Var] = NodeVal(id)
-		if err := ex.pushStart(i, sc, r, k+1); err != nil {
-			return err
+		row.vals[it.slot] = NodeVal(id)
+		if err = ex.pushStart(i, sc, row, k+1); err != nil {
+			break
 		}
 	}
-	return nil
+	row.vals[it.slot] = prev
+	return err
 }
 
 // project applies a streaming projection to one row: evaluate the
@@ -399,7 +486,7 @@ func (ex *exec) project(i int, row Row) error {
 	if st.limit > 0 {
 		st.limit--
 	}
-	err := ex.emit(i, vals, nil)
+	err := ex.emit(i, vals, Row{})
 	if err == nil && st.limit == 0 {
 		ex.stopped = i
 		return errStopStream
@@ -414,8 +501,7 @@ func (ex *exec) flush(i int) error {
 	if ex.count {
 		ex.switchTo(i)
 	}
-	p := st.proj
-	rows, _, err := ex.applyProjection(st.buf, p.Items, p.Distinct, p.OrderBy, p.Skip, p.Limit)
+	rows, err := ex.applyProjection(st.buf, st.proj, st.colScope)
 	st.buf = nil
 	if err != nil {
 		return err
@@ -429,23 +515,26 @@ func (ex *exec) flush(i int) error {
 }
 
 // emit hands one projected row from WITH or RETURN i downstream, given
-// as values in column order or as a row keyed by column: to the sink
-// after the final RETURN, to the next clause otherwise.
+// as values in column order or as a row of the stage's output scope: to
+// the sink after the final RETURN, to the next clause otherwise.
 func (ex *exec) emit(i int, vals []Val, row Row) error {
 	st := &ex.stages[i]
 	if i < len(ex.stages)-1 {
-		if row == nil {
-			row = make(Row, len(vals))
-			for j, c := range st.cols {
-				row[c] = vals[j]
+		if vals != nil {
+			if st.next.vals == nil {
+				st.next = st.colScope.newRow()
+			}
+			row = st.next
+			for j, s := range st.colSlots {
+				row.vals[s] = vals[j]
 			}
 		}
 		return ex.handOff(i, row)
 	}
 	if vals == nil {
 		vals = make([]Val, len(st.cols))
-		for j, c := range st.cols {
-			vals[j] = row[c]
+		for j, s := range st.colSlots {
+			vals[j] = row.vals[s]
 		}
 	}
 	st.out++
@@ -529,28 +618,22 @@ func (ex *exec) report(prof *Profile, sp *trace.Span, start time.Time, err error
 
 // optionalNullRow extends row with nulls for every unbound variable an
 // OPTIONAL MATCH would have bound.
-func optionalNullRow(row Row, mc *MatchClause) Row {
+func (ex *exec) optionalNullRow(row Row, mc *MatchClause) Row {
 	r := row.clone()
+	null := func(s int) {
+		if s >= 0 && r.vals[s].Kind == valUnbound {
+			r.vals[s] = nullVal
+		}
+	}
 	for _, pat := range mc.Patterns {
-		for _, np := range pat.Nodes {
-			if np.Var != "" {
-				if _, ok := r[np.Var]; !ok {
-					r[np.Var] = nullVal
-				}
-			}
+		ps := ex.slotsOf(pat)
+		for _, s := range ps.nodes {
+			null(s)
 		}
-		for _, rp := range pat.Rels {
-			if rp.Var != "" {
-				if _, ok := r[rp.Var]; !ok {
-					r[rp.Var] = nullVal
-				}
-			}
+		for _, s := range ps.rels {
+			null(s)
 		}
-		if pat.PathVar != "" {
-			if _, ok := r[pat.PathVar]; !ok {
-				r[pat.PathVar] = nullVal
-			}
-		}
+		null(ps.path)
 	}
 	return r
 }

@@ -193,13 +193,69 @@ func (v Val) Format(s graph.Source) string {
 	return "?"
 }
 
-// Row is a set of variable bindings.
-type Row map[string]Val
+// valUnbound marks a row slot whose variable has no binding yet. It
+// never leaves a row: reading an unbound variable is an error.
+const valUnbound ValKind = -1
+
+var unboundVal = Val{Kind: valUnbound}
+
+// scope numbers the variables visible between two projections: the
+// variables START and MATCH bind (pattern predicates included) up to
+// the next WITH, whose columns open the next scope. The executor
+// resolves every clause's variables against its scope once, at setup.
+type scope struct {
+	names []string
+}
+
+// slot returns the slot of name, or -1.
+func (sc *scope) slot(name string) int {
+	if sc == nil {
+		return -1
+	}
+	for i, n := range sc.names {
+		if n == name {
+			return i
+		}
+	}
+	return -1
+}
+
+// add returns the slot of name, numbering it first if it is new.
+func (sc *scope) add(name string) int {
+	if i := sc.slot(name); i >= 0 {
+		return i
+	}
+	sc.names = append(sc.names, name)
+	return len(sc.names) - 1
+}
+
+// newRow returns a row of the scope with every slot unbound.
+func (sc *scope) newRow() Row {
+	vals := make([]Val, len(sc.names))
+	for i := range vals {
+		vals[i] = unboundVal
+	}
+	return Row{sc: sc, vals: vals}
+}
+
+// Row is one set of variable bindings: slot i of vals binds the
+// variable its scope numbers i. Expansion binds and unbinds slots in
+// place, so a row handed downstream is only valid until the call
+// returns; a stage that keeps it (a blocking projection) clones it.
+type Row struct {
+	sc   *scope
+	vals []Val
+}
+
+// get returns the binding of the variable name, if it has one.
+func (r Row) get(name string) (Val, bool) {
+	i := r.sc.slot(name)
+	if i < 0 || r.vals[i].Kind == valUnbound {
+		return nullVal, false
+	}
+	return r.vals[i], true
+}
 
 func (r Row) clone() Row {
-	out := make(Row, len(r)+2)
-	for k, v := range r {
-		out[k] = v
-	}
-	return out
+	return Row{sc: r.sc, vals: append([]Val(nil), r.vals...)}
 }

@@ -466,58 +466,55 @@ func (di *diskIndex) entryOffset(i int) int64 {
 	return int64(binary.LittleEndian.Uint64(u64[:]))
 }
 
-// entryHeader reads the (key, value) of entry i plus the location of its
-// posting list.
-func (di *diskIndex) entryHeader(i int) (key, value string, idCount int, idsOff int64) {
+// entry reads the key and value of entry i into buf and returns them
+// as slices of it, the grown buffer for the caller's next call, and the
+// location of the entry's posting list. Callers compare the bytes in
+// place, so probing an entry allocates nothing once buf has grown.
+func (di *diskIndex) entry(i int, buf []byte) (key, value, scratch []byte, idCount int, idsOff int64) {
 	db := di.db()
 	off := di.entryOffset(i)
-	var u16 [2]byte
-	if err := db.index.ReadAt(u16[:], off); err != nil {
-		panic(err)
+	read := func(n int) []byte {
+		start := len(buf)
+		buf = append(buf, make([]byte, n)...)
+		if err := db.index.ReadAt(buf[start:], off); err != nil {
+			panic(err)
+		}
+		off += int64(n)
+		return buf[start:]
 	}
-	kl := int(binary.LittleEndian.Uint16(u16[:]))
-	kb := make([]byte, kl)
-	if err := db.index.ReadAt(kb, off+2); err != nil {
-		panic(err)
-	}
-	off += 2 + int64(kl)
-	if err := db.index.ReadAt(u16[:], off); err != nil {
-		panic(err)
-	}
-	vl := int(binary.LittleEndian.Uint16(u16[:]))
-	vb := make([]byte, vl)
-	if err := db.index.ReadAt(vb, off+2); err != nil {
-		panic(err)
-	}
-	off += 2 + int64(vl)
-	var u32 [4]byte
-	if err := db.index.ReadAt(u32[:], off); err != nil {
-		panic(err)
-	}
-	return string(kb), string(vb), int(binary.LittleEndian.Uint32(u32[:])), off + 4
+	buf = buf[:0]
+	kl := int(binary.LittleEndian.Uint16(read(2)))
+	kStart := len(buf)
+	read(kl)
+	vl := int(binary.LittleEndian.Uint16(read(2)))
+	vStart := len(buf)
+	read(vl)
+	n := int(binary.LittleEndian.Uint32(read(4)))
+	return buf[kStart : kStart+kl], buf[vStart : vStart+vl], buf, n, off
 }
 
-func (di *diskIndex) postings(idCount int, idsOff int64) []graph.NodeID {
-	db := di.db()
-	ids := make([]graph.NodeID, idCount)
+// postings appends the idCount node IDs stored at idsOff to dst.
+func (di *diskIndex) postings(dst []graph.NodeID, idCount int, idsOff int64) []graph.NodeID {
 	buf := make([]byte, 8*idCount)
-	if err := db.index.ReadAt(buf, idsOff); err != nil {
+	if err := di.db().index.ReadAt(buf, idsOff); err != nil {
 		panic(err)
 	}
-	for i := range ids {
-		ids[i] = graph.NodeID(binary.LittleEndian.Uint64(buf[i*8 : i*8+8]))
+	for i := 0; i < idCount; i++ {
+		dst = append(dst, graph.NodeID(binary.LittleEndian.Uint64(buf[i*8:i*8+8])))
 	}
-	return ids
+	return dst
 }
 
 // lowerBound returns the first entry index whose (key, value) is >= the
 // target, comparing keys first.
 func (di *diskIndex) lowerBound(key, value string) int {
 	lo, hi := 0, di.db().indexEntries
+	var buf []byte
 	for lo < hi {
 		mid := (lo + hi) / 2
-		k, v, _, _ := di.entryHeader(mid)
-		if k < key || (k == key && v < value) {
+		k, v, b, _, _ := di.entry(mid, buf)
+		buf = b
+		if string(k) < key || (string(k) == key && string(v) < value) {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -533,21 +530,28 @@ func (di *diskIndex) Exact(key, value string) []graph.NodeID {
 	if i >= di.db().indexEntries {
 		return nil
 	}
-	k, v, n, off := di.entryHeader(i)
-	if k != key || v != value {
+	k, v, _, n, off := di.entry(i, nil)
+	if string(k) != key || string(v) != value {
 		return nil
 	}
-	return di.postings(n, off)
+	return di.postings(make([]graph.NodeID, 0, n), n, off)
 }
 
-// ScanKey implements graph.IndexTermSource.
-func (di *diskIndex) ScanKey(key string, fn func(value string, ids []graph.NodeID)) {
+// Prefix implements graph.IndexTermSource: it seeks the first term at
+// or after (key, prefix) and stops at the first term that does not
+// start with prefix. A term's value becomes a string only for keep.
+func (di *diskIndex) Prefix(dst []graph.NodeID, key, prefix string, keep func(string) bool) []graph.NodeID {
 	key = strings.ToLower(key)
-	for i := di.lowerBound(key, ""); i < di.db().indexEntries; i++ {
-		k, v, n, off := di.entryHeader(i)
-		if k != key {
-			return
+	var buf []byte
+	for i := di.lowerBound(key, prefix); i < di.db().indexEntries; i++ {
+		k, v, b, n, off := di.entry(i, buf)
+		buf = b
+		if string(k) != key || len(v) < len(prefix) || string(v[:len(prefix)]) != prefix {
+			break
 		}
-		fn(v, di.postings(n, off))
+		if keep == nil || keep(string(v)) {
+			dst = di.postings(dst, n, off)
+		}
 	}
+	return dst
 }
